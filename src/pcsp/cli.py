@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import corpus, jsonio
@@ -23,8 +22,9 @@ from .lp import STATUS_EMPTY, STATUS_OK, ring_feasible_point
 from .model import (build_affine_relaxation, build_basic_lp,
                     check_polymorphism, plant_satisfiable_instance,
                     verify_assignment)
-from .pipeline import REJECT_EMPTY_LP, REJECT_NO_RING_POINT, solve
-from .rings import LatticeIdeal, QuadRing, validate_radicand
+from .pipeline import (REJECT_EMPTY_LP, REJECT_NO_RING_POINT, relaxation_plan,
+                       solve)
+from .rings import QuadRing, validate_radicand
 
 
 class CliError(Exception):
@@ -117,8 +117,7 @@ def _cmd_check_pol(args) -> int:
     if report.ok:
         print(f"OK: {member.name} is a polymorphism at arity {args.arity}")
         return 0
-    where = f", position {report.bad_position}" if report.bad_position is not None else ""
-    print(f"COUNTEREXAMPLE: relation {report.relation}{where}")
+    print(f"COUNTEREXAMPLE: relation {report.relation}")
     for row in report.witness_rows:
         print(f"  row {list(row)}")
     print(f"  output {list(report.bad_output)} is outside the weak relation")
@@ -154,47 +153,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _one_hot(domain, exact: bool):
-    if exact:
-        return {d: tuple(Fraction(1 if e == d else 0) for e in domain)
-                for d in domain}
-    return {d: tuple(1 if e == d else 0 for e in domain) for d in domain}
-
-
 def _cmd_relax(args) -> int:
     template = load_template(args.template)
     family = load_family(args.family)
     instance = load_instance(args.instance, template)
-    kind = family.kind
+    plan = relaxation_plan(family)
     if args.dump == "lp":
-        if kind == "per":
+        if not plan.radicands:
             raise CliError("purely periodic families have no LP relaxation")
-        if kind == "simplex":
-            emb = _one_hot(family.domain, exact=True)
-        else:
-            emb = {d: (Fraction(d),) for d in family.domain}
-        system, _ = build_basic_lp(template, instance, emb)
+        system, _ = build_basic_lp(template, instance, plan.lp_embedding)
         print(jsonio.dumps(jsonio.system_to_json(system)), end="")
         return 0
     # affine equation dump
-    if kind == "thr":
+    if plan.lattice is None:
         raise CliError("threshold families have no affine relaxation")
-    if kind == "per":
-        lattice = LatticeIdeal([(family.modulus,)])
-        emb = {d: (d,) for d in family.domain}
-    elif kind == "thr-per":
-        lattice = LatticeIdeal([(family.period,)])
-        emb = {d: (d,) for d in family.domain}
-    elif kind == "reg":
-        lattice = family.lattice
-        emb = {d: (d,) * lattice.dim for d in family.domain}
-    elif kind == "reg-per":
-        lattice = family.affine_lattice
-        emb = {d: (d,) * lattice.dim for d in family.domain}
-    else:
-        lattice = family.lattice
-        emb = _one_hot(family.domain, exact=False)
-    aff = build_affine_relaxation(template, instance, lattice, emb)
+    aff = build_affine_relaxation(template, instance, plan.lattice,
+                                  plan.affine_embedding, r_tag=plan.r_tag)
     print(jsonio.dumps(jsonio.affine_to_json(aff)), end="")
     return 0
 

@@ -19,7 +19,6 @@ from .model import BlockSymmetricFunction
 from .rings import (
     LatticeIdeal,
     LatticeQuotientElem,
-    ModInt,
     SqrtExpr,
     intersect_ideals,
     quad_compare,
@@ -313,11 +312,7 @@ class PeriodicFamily:
                                       table, f"{self.name}[{L}]")
 
     def round(self, w):
-        if isinstance(w, ModInt):
-            if w.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            w = w.value
-        elif isinstance(w, LatticeQuotientElem):
+        if isinstance(w, LatticeQuotientElem):
             if w.lattice.dim != 1:
                 raise ValueError("expected a rank-1 quotient")
             w = w.vector[0]
@@ -384,11 +379,7 @@ class ThresholdPeriodicFamily:
 
     def round(self, v, w):
         i = interval_index(self.thresholds, v)
-        if isinstance(w, ModInt):
-            if w.modulus != self.period:
-                raise ValueError("periodic value has the wrong modulus")
-            w = w.value
-        elif isinstance(w, LatticeQuotientElem):
+        if isinstance(w, LatticeQuotientElem):
             if w.lattice.dim != 1:
                 raise ValueError("expected a rank-1 quotient")
             w = w.vector[0]
@@ -406,16 +397,84 @@ def _trivial_lattice(dim: int) -> LatticeIdeal:
     return LatticeIdeal(gens)
 
 
-def _block_lazy_fn(family, sizes):
-    def fn(key):
+class _BlockRegionFamily:
+    """Block-partition code shared by the two region families.
+
+    A member at arity L splits its inputs into `blocks` near-equal blocks;
+    the vector of per-block ones fractions, together with the raw block
+    weights, goes to the subclass's `_finish(point, ws)` for the output.
+    """
+
+    def _check_radicands(self) -> None:
+        rads = tuple(int(q) for q in self.radicands)
+        object.__setattr__(self, "radicands", rads)
+        if len(rads) != self.partition.dim:
+            raise ValueError("one radicand per partition coordinate")
+        for q in rads:
+            validate_radicand(q)
+        if len(set(rads)) != len(rads):
+            raise ValueError("radicands must be pairwise distinct")
+
+    @property
+    def blocks(self) -> int:
+        return self.partition.dim
+
+    def _block_sizes(self, L: int) -> tuple[int, ...]:
+        sizes = _split_sizes(L, self.blocks)
+        if any(s == 0 for s in sizes):
+            raise InvalidArityError(f"arity {L} leaves a block empty")
+        return sizes
+
+    def _entry(self, sizes: tuple[int, ...], key: tuple):
         ws = tuple(k[1] for k in key)
         point = tuple(Fraction(w, s) for w, s in zip(ws, sizes))
-        return family._finish(point, ws)
-    return fn
+        return self._finish(point, ws)
+
+    def _table(self, L: int) -> dict:
+        sizes = self._block_sizes(L)
+        table: dict = {}
+
+        def rec(i: int, key: tuple):
+            if i == self.blocks:
+                table[key] = self._entry(sizes, key)
+                return
+            for w in range(sizes[i] + 1):
+                rec(i + 1, key + ((sizes[i] - w, w),))
+
+        rec(0, ())
+        return table
+
+    def is_valid_arity(self, L: int) -> bool:
+        if L < self.blocks:
+            return False
+        if self.arity_hint is not None:
+            return bool(self.arity_hint(L))
+        try:
+            self._table(L)
+        except (PartitionError, InvalidArityError):
+            return False
+        return True
+
+    def _member(self, L: int) -> BlockSymmetricFunction:
+        sizes = self._block_sizes(L)
+        if self.arity_hint is not None:
+            if not self.arity_hint(L):
+                raise InvalidArityError(f"arity {L} rejected by the arity hint")
+            if prod(s + 1 for s in sizes) > _EAGER_TABLE_LIMIT:
+                return BlockSymmetricFunction(
+                    self.domain, self.outputs(), sizes,
+                    _LazyTable(lambda key: self._entry(sizes, key)),
+                    f"{self.name}[{L}]")
+        try:
+            table = self._table(L)
+        except PartitionError as e:
+            raise InvalidArityError(f"arity {L}: {e}") from e
+        return BlockSymmetricFunction(self.domain, self.outputs(), sizes,
+                                      table, f"{self.name}[{L}]")
 
 
 @dataclass(frozen=True)
-class RegionFamily:
+class RegionFamily(_BlockRegionFamily):
     """Near-equal blocks; the vector of per-block ones fractions is
     classified by a region partition whose label is the output."""
 
@@ -429,84 +488,29 @@ class RegionFamily:
     domain = (0, 1)
 
     def __post_init__(self):
-        rads = tuple(int(q) for q in self.radicands)
-        object.__setattr__(self, "radicands", rads)
-        if len(rads) != self.partition.dim:
-            raise ValueError("one radicand per partition coordinate")
-        for q in rads:
-            validate_radicand(q)
-        if len(set(rads)) != len(rads):
-            raise ValueError("radicands must be pairwise distinct")
+        self._check_radicands()
         if self.lattice is None:
             object.__setattr__(self, "lattice", _trivial_lattice(self.partition.dim))
         if self.lattice.dim != self.partition.dim:
             raise ValueError("lattice dimension mismatch")
-
-    @property
-    def blocks(self) -> int:
-        return self.partition.dim
 
     def outputs(self) -> tuple:
         labels = {c.label for c in self.partition.cells}
         labels.update(self.partition.corners.values())
         return tuple(sorted(labels))
 
-    def _table(self, L: int) -> dict:
-        sizes = _split_sizes(L, self.blocks)
-        if any(s == 0 for s in sizes):
-            raise InvalidArityError(f"arity {L} leaves a block empty")
-        table: dict = {}
-
-        def rec(i: int, key: tuple, ws: tuple):
-            if i == self.blocks:
-                point = tuple(Fraction(w, s) for w, s in zip(ws, sizes))
-                table[key] = self._finish(point, ws)
-                return
-            for w in range(sizes[i] + 1):
-                rec(i + 1, key + ((sizes[i] - w, w),), ws + (w,))
-
-        rec(0, (), ())
-        return table
-
     def _finish(self, point, ws):
         return evaluate_partition(self.partition, point)
 
-    def is_valid_arity(self, L: int) -> bool:
-        if L < self.blocks:
-            return False
-        if self.arity_hint is not None:
-            return bool(self.arity_hint(L))
-        try:
-            self._table(L)
-        except (PartitionError, InvalidArityError):
-            return False
-        return True
-
     def member(self, L: int) -> BlockSymmetricFunction:
-        sizes = _split_sizes(L, self.blocks)
-        if any(s == 0 for s in sizes):
-            raise InvalidArityError(f"arity {L} leaves a block empty")
-        if self.arity_hint is not None:
-            if not self.arity_hint(L):
-                raise InvalidArityError(f"arity {L} rejected by the arity hint")
-            if prod(s + 1 for s in sizes) > _EAGER_TABLE_LIMIT:
-                return BlockSymmetricFunction(
-                    self.domain, self.outputs(), sizes,
-                    _LazyTable(_block_lazy_fn(self, sizes)),
-                    f"{self.name}[{L}]")
-        try:
-            table = self._table(L)
-        except PartitionError as e:
-            raise InvalidArityError(f"arity {L}: {e}") from e
-        return BlockSymmetricFunction(self.domain, self.outputs(), sizes,
-                                      table, f"{self.name}[{L}]")
+        return self._member(L)
 
     def round(self, point: Sequence):
         return evaluate_partition(self.partition, point)
 
 
 @dataclass(frozen=True)
-class RegionPeriodicFamily:
+class RegionPeriodicFamily(_BlockRegionFamily):
     """Region label picks a target quotient and residue map for the raw
     block-weight vector."""
 
@@ -520,14 +524,7 @@ class RegionPeriodicFamily:
     domain = (0, 1)
 
     def __post_init__(self):
-        rads = tuple(int(q) for q in self.radicands)
-        object.__setattr__(self, "radicands", rads)
-        if len(rads) != self.partition.dim:
-            raise ValueError("one radicand per partition coordinate")
-        for q in rads:
-            validate_radicand(q)
-        if len(set(rads)) != len(rads):
-            raise ValueError("radicands must be pairwise distinct")
+        self._check_radicands()
         labels = {c.label for c in self.partition.cells}
         labels.update(self.partition.corners.values())
         if set(self.cell_data) != labels:
@@ -539,10 +536,6 @@ class RegionPeriodicFamily:
                 raise ValueError(f"label {label}: eta must cover every coset")
 
     @property
-    def blocks(self) -> int:
-        return self.partition.dim
-
-    @property
     def affine_lattice(self) -> LatticeIdeal:
         return intersect_ideals([lat for lat, _ in self.cell_data.values()])
 
@@ -550,57 +543,13 @@ class RegionPeriodicFamily:
         return tuple(sorted({v for _, eta in self.cell_data.values()
                              for v in eta.values()}))
 
-    def _table(self, L: int) -> dict:
-        sizes = _split_sizes(L, self.blocks)
-        if any(s == 0 for s in sizes):
-            raise InvalidArityError(f"arity {L} leaves a block empty")
-        table: dict = {}
-
-        def rec(i: int, key: tuple, ws: tuple):
-            if i == self.blocks:
-                point = tuple(Fraction(w, s) for w, s in zip(ws, sizes))
-                table[key] = self._finish(point, ws)
-                return
-            for w in range(sizes[i] + 1):
-                rec(i + 1, key + ((sizes[i] - w, w),), ws + (w,))
-
-        rec(0, (), ())
-        return table
-
     def _finish(self, point, ws):
         label = evaluate_partition(self.partition, point)
         lat, eta = self.cell_data[label]
         return eta[lat.canonicalize(ws)]
 
-    def is_valid_arity(self, L: int) -> bool:
-        if L < self.blocks:
-            return False
-        if self.arity_hint is not None:
-            return bool(self.arity_hint(L))
-        try:
-            self._table(L)
-        except (PartitionError, InvalidArityError):
-            return False
-        return True
-
     def member(self, L: int) -> BlockSymmetricFunction:
-        sizes = _split_sizes(L, self.blocks)
-        if any(s == 0 for s in sizes):
-            raise InvalidArityError(f"arity {L} leaves a block empty")
-        if self.arity_hint is not None:
-            if not self.arity_hint(L):
-                raise InvalidArityError(f"arity {L} rejected by the arity hint")
-            if prod(s + 1 for s in sizes) > _EAGER_TABLE_LIMIT:
-                return BlockSymmetricFunction(
-                    self.domain, self.outputs(), sizes,
-                    _LazyTable(_block_lazy_fn(self, sizes)),
-                    f"{self.name}[{L}]")
-        try:
-            table = self._table(L)
-        except PartitionError as e:
-            raise InvalidArityError(f"arity {L}: {e}") from e
-        return BlockSymmetricFunction(self.domain, self.outputs(), sizes,
-                                      table, f"{self.name}[{L}]")
+        return self._member(L)
 
     def round(self, point: Sequence, w: LatticeQuotientElem):
         label = evaluate_partition(self.partition, point)
@@ -700,29 +649,3 @@ def smallest_valid_arity(family, minimum: int = 1, limit: int = 1_000_000) -> in
             return L
         L += 1
     raise InvalidArityError(f"no valid arity of {family.name} up to {limit}")
-
-
-# module-level rounding helpers mirroring the family methods
-
-def round_threshold(family: ThresholdFamily, v):
-    return family.round(v)
-
-
-def round_periodic(family: PeriodicFamily, w):
-    return family.round(w)
-
-
-def round_thrper(family: ThresholdPeriodicFamily, v, w):
-    return family.round(v, w)
-
-
-def round_reg(family: RegionFamily, point):
-    return family.round(point)
-
-
-def round_regper(family: RegionPeriodicFamily, point, w):
-    return family.round(point, w)
-
-
-def round_simplex(family: SimplexFamily, point):
-    return family.round(point)

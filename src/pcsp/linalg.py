@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .inthnf import HnfResult, hnf_from_sparse_rows, rows_from_columns, solve_hnf
+from .inthnf import HnfResult, hnf_from_sparse_rows, solve_hnf
 from .rings import (
     LatticeIdeal,
     LatticeQuotientElem,
@@ -23,7 +23,7 @@ from .rings import (
     QuadRat,
     balanced_sum,
 )
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_inequality_lp
+from .simplex import OPTIMAL, UNBOUNDED, solve_inequality_lp
 
 Coef = int | Fraction
 
@@ -122,47 +122,6 @@ class InequalitySystem:
 
 
 # ---------------------------------------------------------------------------
-# Field (rational) solving
-# ---------------------------------------------------------------------------
-
-
-def solve_field_system(rows: Sequence[Mapping[int, Coef]], rhs: Sequence[Coef],
-                       n_vars: int) -> list[Fraction] | None:
-    """One rational solution of row_i . x = rhs_i (free vars at 0), or None."""
-    echelon: list[tuple[int, dict[int, Fraction], Fraction]] = []
-    for row, b in zip(rows, rhs):
-        work = {j: Fraction(c) for j, c in row.items() if c}
-        val = Fraction(b)
-        for piv_col, piv_row, piv_val in echelon:
-            f = work.get(piv_col)
-            if f:
-                for j, c in piv_row.items():
-                    w = work.get(j, Fraction(0)) - f * c
-                    if w:
-                        work[j] = w
-                    else:
-                        work.pop(j, None)
-                val -= f * piv_val
-        if not work:
-            if val:
-                return None
-            continue
-        piv_col = min(work)
-        inv = 1 / work[piv_col]
-        work = {j: c * inv for j, c in work.items()}
-        val *= inv
-        echelon.append((piv_col, work, val))
-    x = [Fraction(0)] * n_vars
-    for piv_col, row, val in reversed(echelon):
-        acc = val
-        for j, c in row.items():
-            if j != piv_col and x[j]:
-                acc -= c * x[j]
-        x[piv_col] = acc
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Integer solving with a fill-reducing permutation
 # ---------------------------------------------------------------------------
 
@@ -221,61 +180,6 @@ def solve_integer_system(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
     return IntegerSolver(srows, n_vars).solve(rhs)
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Dense (H, U) with H = rows @ U, U unimodular, H column-style HNF."""
-    srows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    n_cols = len(rows[0]) if rows else 0
-    res = hnf_from_sparse_rows(srows, n_cols, track_u=True)
-    return res.h_dense(), res.u_dense()
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-integer solving via the doubled system
-# ---------------------------------------------------------------------------
-
-
-def _quad_parts(v, q: int) -> tuple[int, int]:
-    if isinstance(v, QuadElem):
-        if v.q != q:
-            raise ValueError("mixed radicands in system")
-        return v.a, v.b
-    return int(v), 0
-
-
-def solve_quadratic_int_system(srows: Sequence[Mapping[int, "QuadElem | int"]],
-                               rhs: Sequence["QuadElem | int"],
-                               n_vars: int, q: int) -> list[QuadElem] | None:
-    """Solve M x = rhs for x in Z[sqrt(q)]^n, M and rhs over the same ring.
-
-    Writing M = M1 + M2 sqrt(q) and x = y + z sqrt(q), the system is the
-    doubled integer system [[M1, q M2], [M2, M1]] (y; z) = (b1; b2).
-    """
-    m = len(srows)
-    doubled: list[dict[int, int]] = []
-    rhs2: list[int] = []
-    for i in range(m):
-        top: dict[int, int] = {}
-        bot: dict[int, int] = {}
-        for j, c in srows[i].items():
-            a, b = _quad_parts(c, q)
-            if a:
-                top[j] = a
-                bot[n_vars + j] = a
-            if b:
-                top[n_vars + j] = q * b
-                bot[j] = b
-        doubled.append(top)
-        doubled.append(bot)
-        ra, rb = _quad_parts(rhs[i], q)
-        rhs2.append(ra)
-        rhs2.append(rb)
-    # interleaved rows keep the permutation heuristic balanced
-    sol = solve_integer_system(doubled, rhs2, 2 * n_vars)
-    if sol is None:
-        return None
-    return [QuadElem(sol[j], sol[n_vars + j], q) for j in range(n_vars)]
-
-
 # ---------------------------------------------------------------------------
 # Systems over lattice quotients Z^b / J
 # ---------------------------------------------------------------------------
@@ -292,9 +196,16 @@ def _is_small_prime(m: int) -> bool:
     return True
 
 
+# products of two residues below this bound fit the int64 elimination
+_GFP_MODULUS_LIMIT = 2 ** 31
+
+
 def _solve_mod_p(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
                  n_cols: int, p: int) -> list[int] | None:
-    """Any solution of A x = b over GF(p), free variables zero, or None."""
+    """Any solution of A x = b over GF(p), free variables zero, or None.
+
+    The elimination runs in int64, so p must stay below _GFP_MODULUS_LIMIT.
+    """
     m = len(srows)
     a = np.zeros((m, n_cols + 1), dtype=np.int64)
     for i, row in enumerate(srows):
@@ -357,7 +268,7 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
     slack_base = width
 
     modulus = lattice.hnf_rows[0][0] if b == 1 else 0
-    if b == 1 and _is_small_prime(modulus):
+    if b == 1 and modulus < _GFP_MODULUS_LIMIT and _is_small_prime(modulus):
         # rank-1 prime quotient: plain elimination over GF(p) replaces the
         # integer normal-form machinery (same verdicts, much cheaper)
         rows1: list[dict[int, int]] = []
@@ -520,7 +431,8 @@ def affine_hull_and_interior(system: InequalitySystem,
             probe_rhs = system.rhs + [Fraction(system.rhs[i]) - 1]
             res2 = solve_inequality_lp(probe_rows, probe_rhs, system.n_vars)
             lp_calls += 1
-            assert res2.status == OPTIMAL
+            if res2.status != OPTIMAL:
+                raise AssertionError("unbounded slack but no strict witness")
             witnesses.append(res2.x)
         elif res.objective < system.rhs[i]:
             witnesses.append(res.x)

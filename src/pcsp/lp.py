@@ -27,21 +27,18 @@ from .linalg import (
     affine_hull_and_interior,
     integer_orthogonal_basis,
     row_l1,
-    sparse_dot,
     value_sign,
 )
 from .rings import QuadElem, QuadRing, dense_element
-from .simplex import OPTIMAL, solve_inequality_lp
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
 STATUS_NO_RING_POINT = "no-ring-point-on-hull"
 
-
-def lp_feasible_rational(system: InequalitySystem) -> list[Fraction] | None:
-    """Any rational feasible point of the system, or None."""
-    res = solve_inequality_lp(system.rows, system.rhs, system.n_vars)
-    return res.x if res.status == OPTIMAL else None
+# hulls with at most this many kernel directions and variables take the
+# orthogonal-basis lift; larger ones take the scaled-delta lift
+SMALL_KERNEL_LIMIT = 24
+SMALL_VARS_LIMIT = 96
 
 
 @dataclass
@@ -49,22 +46,6 @@ class RingPointResult:
     status: str
     point: list[QuadElem] | None = None
     transcript: dict = field(default_factory=dict)
-
-
-def _integerized_equalities(rows, rhs):
-    """Clear denominators so each equality has integer row and rhs."""
-    int_rows: list[dict[int, int]] = []
-    int_rhs: list[int] = []
-    for row, b in zip(rows, rhs):
-        scale = lcm(Fraction(b).denominator,
-                    *(Fraction(c).denominator for c in row.values()))
-        r = {}
-        for j, c in row.items():
-            v = Fraction(c) * scale
-            r[j] = int(v)
-        int_rows.append(r)
-        int_rhs.append(int(Fraction(b) * scale))
-    return int_rows, int_rhs
 
 
 def _integerized_system(system: InequalitySystem) -> InequalitySystem:
@@ -84,17 +65,17 @@ def _integerized_system(system: InequalitySystem) -> InequalitySystem:
 
 
 def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
-                        warm_point: Sequence[Fraction] | None = None,
-                        small_kernel_limit: int = 24,
-                        small_vars_limit: int = 96) -> RingPointResult:
+                        warm_point: Sequence[Fraction] | None = None
+                        ) -> RingPointResult:
     """Feasible point with every coordinate in Z[sqrt(q)], or a typed reject.
 
     Statuses: 'ok' (point returned), 'empty' (no rational point), and
     'no-ring-point-on-hull' (feasible rationally, but the affine hull misses
     the ring).  Small systems use the orthogonal-basis construction with one
-    ring coefficient per basis vector; larger ones scale the single integer
-    direction T (y0 - x0) by one ring element near 1/T, which gives the same
-    strict-slack guarantee with none of the orthogonalisation cost.
+    ring coefficient per basis vector, which keeps point coefficients short;
+    larger ones scale the single integer direction T (y0 - x0) by one ring
+    element near 1/T, which gives the same strict-slack guarantee with none
+    of the orthogonalisation cost.
     """
     system = _integerized_system(system)
     n = system.n_vars
@@ -106,10 +87,10 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
     transcript["y0"] = y0
     transcript["implicit"] = hull.implicit
 
-    eq_rows, eq_rhs = _integerized_equalities(hull.eq_rows, hull.eq_rhs)
-    solver = IntegerSolver(eq_rows, n) if eq_rows else None
+    # the hull's equalities are rows of the integerized system
+    solver = IntegerSolver(hull.eq_rows, n) if hull.eq_rows else None
     if solver is not None:
-        x0 = solver.solve(eq_rhs)
+        x0 = solver.solve(hull.eq_rhs)
         if x0 is None:
             return RingPointResult(STATUS_NO_RING_POINT, None, transcript)
     else:
@@ -132,14 +113,15 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
     if nonimp:
         delta = min(system.slack(y0, i) / (1 + row_l1(system.rows[i]))
                     for i in nonimp)
-        assert delta > 0
+        if delta <= 0:
+            raise AssertionError("interior point is not strictly slack")
     else:
         delta = Fraction(1)
     transcript["delta"] = delta
 
     kernel = solver.kernel_basis() if solver is not None else \
         [{j: 1} for j in range(n)]
-    small = len(kernel) <= small_kernel_limit and n <= small_vars_limit
+    small = len(kernel) <= SMALL_KERNEL_LIMIT and n <= SMALL_VARS_LIMIT
 
     if small:
         basis = integer_orthogonal_basis(kernel)

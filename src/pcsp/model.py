@@ -166,7 +166,8 @@ def plant_satisfiable_instance(template: PromiseTemplate, n_vars: int,
             clauses.append(placed)
         if ok:
             inst = Instance(n_vars, tuple(clauses))
-            assert verify_assignment(template, inst, hidden, side="strong") is None
+            if verify_assignment(template, inst, hidden, side="strong") is not None:
+                raise AssertionError("hidden assignment violates a planted clause")
             return inst, hidden
     raise RuntimeError("could not plant an instance; domain values too scarce")
 
@@ -229,7 +230,6 @@ class PolymorphismReport:
     relation: str | None = None
     witness_rows: list | None = None
     bad_output: tuple | None = None
-    bad_position: int | None = None
 
 
 def _reachable_profiles(tuples: list[tuple], domain: tuple, levels: int,
@@ -283,7 +283,8 @@ def _witness_rows(target: np.ndarray, levels: list[np.ndarray],
                 break
         else:
             raise AssertionError("sumset reconstruction failed")
-    assert not cur.any()
+    if cur.any():
+        raise AssertionError("sumset reconstruction left a remainder")
     rows.reverse()
     return rows
 
@@ -335,25 +336,9 @@ def check_polymorphism(f: BlockSymmetricFunction, template: PromiseTemplate,
                     rows.extend(_witness_rows(np.asarray(h), all_levels[:size + 1],
                                               tuples, template.domain))
                 # sanity: the reconstructed rows really produce the failure
-                assert f.apply_rows(rows) == out_t
+                if f.apply_rows(rows) != out_t:
+                    raise AssertionError("witness rows do not reproduce the violation")
                 return PolymorphismReport(False, rel.name, rows, out_t)
-    return PolymorphismReport(True)
-
-
-def check_polymorphism_naive(f: BlockSymmetricFunction,
-                             template: PromiseTemplate,
-                             max_products: int = 200_000) -> PolymorphismReport:
-    """Brute force over all row choices; cross-check for the DP version."""
-    from itertools import product
-    L = f.arity
-    for rel in template.relations:
-        tuples = sorted(rel.strong)
-        if len(tuples) ** L > max_products:
-            raise ResourceGuardError(f"{rel.name}: naive enumeration too large")
-        for rows in product(tuples, repeat=L):
-            out = f.apply_rows(list(rows))
-            if out not in rel.weak:
-                return PolymorphismReport(False, rel.name, list(rows), out)
     return PolymorphismReport(True)
 
 

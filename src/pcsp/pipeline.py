@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .families import InvalidArityError
 from .linalg import solve_lattice_quotient_system, value_sign
-from .lp import STATUS_EMPTY, STATUS_NO_RING_POINT, STATUS_OK, ring_feasible_point
+from .lp import STATUS_EMPTY, STATUS_OK, ring_feasible_point
 from .model import (
     AffineSystem,
     BasicLpLayout,
@@ -75,10 +75,6 @@ class SolveResult:
     affine: AffineTranscript | None = None
 
 
-def _scalar_embedding() -> dict:
-    return {0: (Fraction(0),), 1: (Fraction(1),)}
-
-
 def _check_domain(template: PromiseTemplate, family) -> None:
     if tuple(family.domain) != tuple(template.domain):
         raise ValueError(
@@ -114,6 +110,70 @@ def _lp_reject(status: str) -> SolveResult:
     return SolveResult(False, reason=reason)
 
 
+# the 0/1 domain of threshold and region families, embedded as itself
+_SCALAR = {0: (Fraction(0),), 1: (Fraction(1),)}
+
+
+@dataclass(frozen=True)
+class RelaxationPlan:
+    """The relaxations a family kind is rounded from.
+
+    One ring LP per radicand, all over `lp_embedding` (none when
+    `radicands` is empty), then at most one affine relaxation over
+    `lattice` (none when it is None).
+    """
+
+    radicands: tuple[int, ...]
+    lp_embedding: Mapping | None
+    lattice: LatticeIdeal | None
+    affine_embedding: Mapping | None
+    r_tag: str = "full"
+
+
+def relaxation_plan(family) -> RelaxationPlan:
+    """Per-kind choice of embeddings, lattice and multiplier tag."""
+    kind = family.kind
+    dom = family.domain
+    if kind == "thr":
+        return RelaxationPlan((family.radicand,), _SCALAR, None, None)
+    if kind == "per":
+        return RelaxationPlan((), None, LatticeIdeal([(family.modulus,)]),
+                              {d: (d,) for d in dom})
+    if kind == "thr-per":
+        return RelaxationPlan((family.radicand,), _SCALAR,
+                              LatticeIdeal([(family.period,)]),
+                              {d: (d,) for d in dom})
+    if kind in ("reg", "reg-per"):
+        lattice = family.lattice if kind == "reg" else family.affine_lattice
+        return RelaxationPlan(family.radicands, _SCALAR, lattice,
+                              {d: (d,) * lattice.dim for d in dom})
+    if kind == "simplex":
+        one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in dom)
+                   for d in dom}
+        int_hot = {d: tuple(1 if e == d else 0 for e in dom) for d in dom}
+        return RelaxationPlan((family.radicand,), one_hot, family.lattice,
+                              int_hot, r_tag="ones")
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _round_variable(family, x: int, lps: list[LpTranscript],
+                    aff: AffineTranscript | None):
+    kind = family.kind
+    if kind == "thr":
+        return family.round(lps[0].variable_value(x))
+    if kind == "per":
+        return family.round(aff.variable_value(x))
+    if kind == "thr-per":
+        return family.round(lps[0].variable_value(x), aff.variable_value(x))
+    if kind == "simplex":
+        return family.round(tuple(lps[0].variable_value(x, c)
+                                  for c in range(len(family.domain))))
+    point = tuple(lp.variable_value(x) for lp in lps)
+    if kind == "reg":
+        return family.round(point)
+    return family.round(point, aff.variable_value(x))
+
+
 def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
     """Run the relaxations the family needs and round their exact output.
 
@@ -122,83 +182,22 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
     weight-oracle replay.
     """
     _check_domain(template, family)
-    kind = family.kind
-    n = instance.n_vars
-
-    if kind == "thr":
-        status, lp = _solve_basic_lp(template, instance, _scalar_embedding(),
-                                     family.radicand)
+    plan = relaxation_plan(family)
+    lps: list[LpTranscript] = []
+    for q in plan.radicands:
+        status, lp = _solve_basic_lp(template, instance, plan.lp_embedding, q)
         if lp is None:
             return _lp_reject(status)
-        values = [family.round(lp.variable_value(x)) for x in range(n)]
-        return SolveResult(True, values, lp=[lp])
-
-    if kind == "per":
-        lattice = LatticeIdeal([(family.modulus,)])
-        emb = {d: (d,) for d in family.domain}
-        aff = _solve_affine(template, instance, lattice, emb)
+        lps.append(lp)
+    aff = None
+    if plan.lattice is not None:
+        aff = _solve_affine(template, instance, plan.lattice,
+                            plan.affine_embedding, plan.r_tag)
         if aff is None:
             return SolveResult(False, reason=REJECT_AFFINE)
-        values = [family.round(aff.variable_value(x)) for x in range(n)]
-        return SolveResult(True, values, affine=aff)
-
-    if kind == "thr-per":
-        status, lp = _solve_basic_lp(template, instance, _scalar_embedding(),
-                                     family.radicand)
-        if lp is None:
-            return _lp_reject(status)
-        lattice = LatticeIdeal([(family.period,)])
-        aff = _solve_affine(template, instance, lattice,
-                            {d: (d,) for d in family.domain})
-        if aff is None:
-            return SolveResult(False, reason=REJECT_AFFINE)
-        values = [family.round(lp.variable_value(x), aff.variable_value(x))
-                  for x in range(n)]
-        return SolveResult(True, values, lp=[lp], affine=aff)
-
-    if kind in ("reg", "reg-per"):
-        lps: list[LpTranscript] = []
-        for q in family.radicands:
-            status, lp = _solve_basic_lp(template, instance,
-                                         _scalar_embedding(), q)
-            if lp is None:
-                return _lp_reject(status)
-            lps.append(lp)
-        lattice = family.lattice if kind == "reg" else family.affine_lattice
-        b = lattice.dim
-        aff = _solve_affine(template, instance, lattice,
-                            {d: (d,) * b for d in family.domain})
-        if aff is None:
-            return SolveResult(False, reason=REJECT_AFFINE)
-        values = []
-        for x in range(n):
-            point = tuple(lp.variable_value(x) for lp in lps)
-            if kind == "reg":
-                values.append(family.round(point))
-            else:
-                values.append(family.round(point, aff.variable_value(x)))
-        return SolveResult(True, values, lp=lps, affine=aff)
-
-    if kind == "simplex":
-        dom = family.domain
-        one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in dom)
-                   for d in dom}
-        status, lp = _solve_basic_lp(template, instance, one_hot,
-                                     family.radicand)
-        if lp is None:
-            return _lp_reject(status)
-        int_hot = {d: tuple(1 if e == d else 0 for e in dom) for d in dom}
-        aff = _solve_affine(template, instance, family.lattice, int_hot,
-                            r_tag="ones")
-        if aff is None:
-            return SolveResult(False, reason=REJECT_AFFINE)
-        values = []
-        for x in range(n):
-            point = tuple(lp.variable_value(x, c) for c in range(len(dom)))
-            values.append(family.round(point))
-        return SolveResult(True, values, lp=[lp], affine=aff)
-
-    raise ValueError(f"unknown family kind {kind!r}")
+    values = [_round_variable(family, x, lps, aff)
+              for x in range(instance.n_vars)]
+    return SolveResult(True, values, lp=lps, affine=aff)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +228,20 @@ def _apportion(bases: list[int], L: int, step: int) -> list[int]:
 
 def _assert_weight_conditions(ws: list[int], alphas: Sequence, L: int,
                               step: int) -> None:
-    assert all(w >= 0 for w in ws)
-    assert sum(ws) == L
+    if any(w < 0 for w in ws):
+        raise AssertionError("negative weight")
+    if sum(ws) != L:
+        raise AssertionError("weights do not sum to the arity")
     for w, a in zip(ws, alphas):
         scaled = a * L
-        assert quad_compare(scaled, w - 2 * step) >= 0
-        assert quad_compare(scaled, w + 2 * step) <= 0
+        if (quad_compare(scaled, w - 2 * step) < 0
+                or quad_compare(scaled, w + 2 * step) > 0):
+            raise AssertionError("weight drifts more than two steps")
+
+
+def _check_sum_to_one(alphas: Sequence) -> None:
+    if value_sign(sum(alphas[1:], alphas[0]) - 1) != 0:
+        raise ValueError("clause multipliers do not sum to one")
 
 
 def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
@@ -250,7 +257,7 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
         raise ValueError("multiplier count mismatch")
     if L < modulus * m:
         raise ValueError(f"arity {L} below the weight guard {modulus * m}")
-    assert value_sign(sum(alphas[1:], alphas[0]) - 1) == 0
+    _check_sum_to_one(alphas)
     scale = L % modulus
     cosets = [(r * scale) % modulus for r in residues]
     if (L - sum(cosets)) % modulus:
@@ -265,8 +272,8 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
             w = c
         bases.append(w)
     ws = _apportion(bases, L, modulus)
-    for w, c in zip(ws, cosets):
-        assert w % modulus == c
+    if any(w % modulus != c for w, c in zip(ws, cosets)):
+        raise AssertionError("weight left its residue class")
     _assert_weight_conditions(ws, alphas, L, modulus)
     return ws
 
@@ -297,7 +304,7 @@ def construct_weights_lattice(alphas: Sequence,
     period = _diagonal_period(lattice)
     if L < period * m:
         raise ValueError(f"arity {L} below the weight guard {period * m}")
-    assert value_sign(sum(alphas[1:], alphas[0]) - 1) == 0
+    _check_sum_to_one(alphas)
     gens = [tuple(lattice.hnf_rows[i][k] for i in range(b)) for k in range(b)]
     targets = []
     anchors = []
@@ -331,8 +338,8 @@ def construct_weights_lattice(alphas: Sequence,
         bases.append(w)
     ws = _apportion(bases, L, period)
     for w, target in zip(ws, targets):
-        diff = tuple(w - t for t in target.vector)
-        assert lattice.contains(diff)
+        if not lattice.contains(tuple(w - t for t in target.vector)):
+            raise AssertionError("weight left its coset")
     _assert_weight_conditions(ws, alphas, L, period)
     return ws
 
@@ -346,18 +353,17 @@ class OracleMismatchError(AssertionError):
     """Member replay disagrees with rounded output even after escalation."""
 
 
-_member_cache: dict = {}
-
-
 def _cached_valid_member(family, minimum: int, window: int = 1_000_000):
-    """First member at a valid arity >= minimum, memoized per family.
+    """First member at a valid arity >= minimum, memoized on the family.
 
-    Partition-backed families without an arity hint detect invalid arities
-    while building the member table, so the scan attempts the build directly
-    rather than paying for a separate validity pass.
+    The memo lives in the family's own attribute dict, so it dies with the
+    family (region families are unhashable, so no weak-keyed map can hold
+    it).  Partition-backed families without an arity hint detect invalid
+    arities while building the member table, so the scan attempts the build
+    directly rather than paying for a separate validity pass.
     """
-    key = (id(family), minimum)
-    got = _member_cache.get(key)
+    memo = vars(family).setdefault("_valid_members", {})
+    got = memo.get(minimum)
     if got is None:
         build_directly = (family.kind in ("reg", "reg-per", "simplex")
                           and getattr(family, "arity_hint", None) is None)
@@ -365,12 +371,12 @@ def _cached_valid_member(family, minimum: int, window: int = 1_000_000):
         for L in range(start, start + window):
             if build_directly:
                 try:
-                    got = _member_cache[key] = (L, family.member(L))
+                    got = memo[minimum] = (L, family.member(L))
                     break
                 except InvalidArityError:
                     continue
             if family.is_valid_arity(L):
-                got = _member_cache[key] = (L, family.member(L))
+                got = memo[minimum] = (L, family.member(L))
                 break
         else:
             raise ValueError(f"no valid arity of {family.name} in "

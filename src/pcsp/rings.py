@@ -1,9 +1,9 @@
 """Exact arithmetic domains for the solver toolkit.
 
 Provides rationals (stdlib Fraction), quadratic integer rings Z[sqrt(q)] and
-their fraction fields, modular integers, lattice quotients Z^b / J with
-Hermite-canonical coset representatives, the dense-element search used by the
-ring-feasible LP rounding, and an exact sign oracle for mixed square-root
+their fraction fields, lattice quotients Z^b / J with Hermite-canonical coset
+representatives, the dense-element search used by the ring-feasible LP
+rounding, and an exact sign oracle for mixed square-root
 expressions (used when partition cells compare coordinates from different
 rings).
 """
@@ -463,65 +463,6 @@ def dense_element(p, r, ring: QuadRing) -> QuadElem:
 
 def dense_element_with_count(p, r, ring: QuadRing) -> tuple[QuadElem, int]:
     return _dense_search(p, r, ring)
-
-
-# ---------------------------------------------------------------------------
-# Modular integers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModInt:
-    """Residue value mod modulus, canonical representative in [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise RingMismatchError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __int__(self):
-        return self.value
 
 
 # ---------------------------------------------------------------------------

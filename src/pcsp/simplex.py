@@ -127,7 +127,8 @@ def solve_inequality_lp(rows: Sequence[Mapping[int, int | Fraction]],
             rhs_acc -= cb * tab[i][n_cols]
     tab.append(objrow + [rhs_acc])
     status = _bland_min(tab, basis, n_cols, n_cols)
-    assert status == OPTIMAL  # phase-I objective is bounded below by 0
+    if status != OPTIMAL:
+        raise AssertionError("phase-I objective is bounded below by 0")
     if -tab[m][n_cols] > 0:
         return LpResult(INFEASIBLE)
 

@@ -1,0 +1,72 @@
+"""Brute-force and textbook oracles that the tests cross-check the library
+against.  None of these is on a solve path, so they live with the tests."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from typing import Mapping, Sequence
+
+from pcsp.linalg import InequalitySystem
+from pcsp.model import (BlockSymmetricFunction, PolymorphismReport,
+                        PromiseTemplate, ResourceGuardError)
+from pcsp.simplex import OPTIMAL, solve_inequality_lp
+
+
+def check_polymorphism_naive(f: BlockSymmetricFunction,
+                             template: PromiseTemplate,
+                             max_products: int = 200_000) -> PolymorphismReport:
+    """Brute force over all row choices; cross-check for the DP version."""
+    L = f.arity
+    for rel in template.relations:
+        tuples = sorted(rel.strong)
+        if len(tuples) ** L > max_products:
+            raise ResourceGuardError(f"{rel.name}: naive enumeration too large")
+        for rows in product(tuples, repeat=L):
+            out = f.apply_rows(list(rows))
+            if out not in rel.weak:
+                return PolymorphismReport(False, rel.name, list(rows), out)
+    return PolymorphismReport(True)
+
+
+def solve_field_system(rows: Sequence[Mapping[int, int | Fraction]],
+                       rhs: Sequence[int | Fraction],
+                       n_vars: int) -> list[Fraction] | None:
+    """One rational solution of row_i . x = rhs_i (free vars at 0), or None."""
+    echelon: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    for row, b in zip(rows, rhs):
+        work = {j: Fraction(c) for j, c in row.items() if c}
+        val = Fraction(b)
+        for piv_col, piv_row, piv_val in echelon:
+            f = work.get(piv_col)
+            if f:
+                for j, c in piv_row.items():
+                    w = work.get(j, Fraction(0)) - f * c
+                    if w:
+                        work[j] = w
+                    else:
+                        work.pop(j, None)
+                val -= f * piv_val
+        if not work:
+            if val:
+                return None
+            continue
+        piv_col = min(work)
+        inv = 1 / work[piv_col]
+        work = {j: c * inv for j, c in work.items()}
+        val *= inv
+        echelon.append((piv_col, work, val))
+    x = [Fraction(0)] * n_vars
+    for piv_col, row, val in reversed(echelon):
+        acc = val
+        for j, c in row.items():
+            if j != piv_col and x[j]:
+                acc -= c * x[j]
+        x[piv_col] = acc
+    return x
+
+
+def lp_feasible_rational(system: InequalitySystem) -> list[Fraction] | None:
+    """Any rational feasible point of the system, or None."""
+    res = solve_inequality_lp(system.rows, system.rhs, system.n_vars)
+    return res.x if res.status == OPTIMAL else None

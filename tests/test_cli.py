@@ -8,6 +8,7 @@ import pytest
 
 from pcsp import corpus, jsonio
 from pcsp.cli import main
+from pcsp.pipeline import solve
 
 
 def run(capsys, *argv):
@@ -146,6 +147,24 @@ def test_relax_le_dump(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["quotient"] == [[7]]
     assert len(doc["rows"]) == 4
+
+
+def test_relax_le_dump_uses_the_solve_relaxation(tmp_path, capsys):
+    # simplex families solve the affine relaxation with multipliers
+    # restricted to the diagonal ('ones'); the dump must show that system
+    inst = tmp_path / "i.json"
+    doc = {"n": 4, "clauses": [{"c": "perm", "vars": [1, 2, 3]},
+                               {"c": "perm", "vars": [2, 3, 4]}]}
+    inst.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "relax", "rainbow", "rainbow", str(inst),
+                       "--dump", "le")
+    assert code == 0
+    tags = json.loads(out)["tags"]
+    assert tags[:4] == ["full"] * 4
+    assert len(tags) > 4 and set(tags[4:]) == {"ones"}
+    e = corpus.entry("rainbow")
+    res = solve(e.template, jsonio.instance_from_json(doc, e.template), e.family)
+    assert tags == res.affine.system.tags
 
 
 def test_relax_dump_mismatches_exit_two(tmp_path, capsys):

@@ -24,7 +24,7 @@ from pcsp.families import (
     smallest_valid_arity,
 )
 from pcsp.model import PromiseTemplate, Relation, check_polymorphism
-from pcsp.rings import LatticeIdeal, ModInt, QuadElem, SqrtExpr
+from pcsp.rings import LatticeIdeal, QuadElem, SqrtExpr
 
 
 MAJ = ThresholdFamily((Fraction(0), Fraction(1, 2), Fraction(1)), (0, 0, 1, 1),
@@ -137,14 +137,13 @@ def test_periodic_binary_domain_eager_table():
     assert f.table[((3, 2),)] == 0
 
 
-def test_periodic_round_accepts_modint_and_quotients():
+def test_periodic_round_accepts_ints_and_quotients():
     assert MOD7.round(8) == 1
-    assert MOD7.round(ModInt(1, 7)) == 1
     lat = LatticeIdeal([(7,)])
     assert MOD7.round(lat.element((15,))) == 1
     assert MOD7.round(lat.element((3,))) == 0
     with pytest.raises(ValueError):
-        MOD7.round(ModInt(1, 5))
+        MOD7.round(LatticeIdeal([(7, 0), (0, 7)]).element((1, 1)))
 
 
 def test_periodic_validity():
@@ -181,8 +180,9 @@ def test_thrper_round_on_ring_values():
     assert FAM_GL.round(v, 0) == 0
     assert FAM_GL.round(v, 1) == 3
     v = QuadElem(2, -1, 2)               # above 1/2
-    assert FAM_GL.round(v, ModInt(0, 2)) == 2
-    assert FAM_GL.round(v, ModInt(1, 2)) == 1
+    lat = LatticeIdeal([(2,)])
+    assert FAM_GL.round(v, lat.element((0,))) == 2
+    assert FAM_GL.round(v, lat.element((1,))) == 1
 
 
 def test_thrper_constructor_validation():

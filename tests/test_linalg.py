@@ -11,16 +11,15 @@ from pcsp.linalg import (
     InequalitySystem,
     IntegerSolver,
     affine_hull_and_interior,
-    hermite_normal_form,
     integer_orthogonal_basis,
-    solve_field_system,
     solve_integer_system,
     solve_lattice_quotient_system,
-    solve_quadratic_int_system,
     sparse_dot,
 )
-from pcsp.rings import LatticeIdeal, QuadElem
+from pcsp.rings import LatticeIdeal
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
+
+from oracles import solve_field_system
 
 
 def sparse(row):
@@ -147,66 +146,6 @@ def test_kernel_basis():
             assert ks.result.rank == len(kernel)
 
 
-def test_hermite_normal_form_wrapper():
-    h, u = hermite_normal_form([[2, 4], [1, 1]])
-    # H = M U must hold
-    m = [[2, 4], [1, 1]]
-    prod = [[sum(m[i][t] * u[t][j] for t in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod == h
-    assert h[0][0] > 0 and h[1][1] > 0 and h[0][1] == 0
-
-
-# -- quadratic integer systems ----------------------------------------------------
-
-
-def test_quadratic_solve_planted():
-    rng = random.Random(36)
-    for _ in range(200):
-        q = rng.choice([2, 3, 5])
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        rows = []
-        for _ in range(m):
-            row = {}
-            for j in range(n):
-                if rng.random() < 0.8:
-                    row[j] = QuadElem(rng.randint(-3, 3), rng.randint(-3, 3), q)
-            rows.append(row)
-        x = [QuadElem(rng.randint(-5, 5), rng.randint(-5, 5), q) for _ in range(n)]
-        rhs = []
-        for r in rows:
-            acc = QuadElem(0, 0, q)
-            for j, c in r.items():
-                acc = acc + c * x[j]
-            rhs.append(acc)
-        got = solve_quadratic_int_system(rows, rhs, n, q)
-        assert got is not None
-        for r, b in zip(rows, rhs):
-            acc = QuadElem(0, 0, q)
-            for j, c in r.items():
-                acc = acc + c * got[j]
-            assert acc == b
-
-
-def test_quadratic_solve_no_solution():
-    # sqrt(2) * x = 1 has no solution in Z[sqrt2]
-    got = solve_quadratic_int_system([{0: QuadElem(0, 1, 2)}], [QuadElem(1, 0, 2)], 1, 2)
-    assert got is None
-    # but sqrt(2) * x = 2 does: x = sqrt(2)
-    got = solve_quadratic_int_system([{0: QuadElem(0, 1, 2)}], [QuadElem(2, 0, 2)], 1, 2)
-    assert got == [QuadElem(0, 1, 2)]
-
-
-def test_quadratic_solve_rational_system_stays_rational_solvable():
-    # integer system: any integer solution embeds with zero irrational part
-    rows = [{0: 1, 1: 2}]
-    rhs = [QuadElem(5, 0, 3)]
-    got = solve_quadratic_int_system(rows, rhs, 2, 3)
-    assert got is not None
-    assert got[0] + QuadElem(2, 0, 3) * got[1] == QuadElem(5, 0, 3)
-
-
 # -- lattice quotient systems ------------------------------------------------------
 
 
@@ -277,6 +216,23 @@ def test_lattice_solve_ones_restriction():
     got = solve_lattice_quotient_system([{0: 1}], [lat2.element((0, 1))], 1, lat2,
                                         var_tags=["ones"])
     assert got is None
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
+def test_lattice_solve_large_prime_has_zero_residual(p):
+    # 2^31 - 1 is the largest prime the int64 GF(p) elimination may take;
+    # 4294967311 > 2^32 overflowed it and returned non-solutions
+    lat = LatticeIdeal([(p,)])
+    rng = random.Random(39)
+    for _ in range(20):
+        rows = [{j: rng.randrange(1, p) for j in range(3)} for _ in range(2)]
+        x = [rng.randrange(p) for _ in range(3)]
+        rhs = [lat.element((sum(c * x[j] for j, c in r.items()),)) for r in rows]
+        got = solve_lattice_quotient_system(rows, rhs, 3, lat)
+        assert got is not None
+        residual = [(sum(c * got[j].vector[0] for j, c in r.items())
+                     - b.vector[0]) % p for r, b in zip(rows, rhs)]
+        assert residual == [0, 0]
 
 
 # -- orthogonalisation ---------------------------------------------------------------

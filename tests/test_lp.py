@@ -12,10 +12,11 @@ from pcsp.lp import (
     STATUS_EMPTY,
     STATUS_NO_RING_POINT,
     STATUS_OK,
-    lp_feasible_rational,
     ring_feasible_point,
 )
 from pcsp.rings import QuadElem, QuadRing
+
+from oracles import lp_feasible_rational
 
 
 def assert_valid_ring_point(system, res, ring):

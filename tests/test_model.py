@@ -9,7 +9,6 @@ from itertools import product
 import pytest
 
 from pcsp.linalg import affine_hull_and_interior, solve_lattice_quotient_system
-from pcsp.lp import lp_feasible_rational
 from pcsp.model import (
     AffineSystem,
     BlockSymmetricFunction,
@@ -22,11 +21,12 @@ from pcsp.model import (
     build_affine_relaxation,
     build_basic_lp,
     check_polymorphism,
-    check_polymorphism_naive,
     plant_satisfiable_instance,
     verify_assignment,
 )
 from pcsp.rings import LatticeIdeal
+
+from oracles import check_polymorphism_naive, lp_feasible_rational
 
 
 def bool_rel(name, strong, weak=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,7 @@ from itertools import product
 import pytest
 
 from pcsp.corpus import entry
-from pcsp.families import Cell, PartitionSpec, RegionPeriodicFamily
+from pcsp.families import Cell, PartitionSpec, RegionPeriodicFamily, ThresholdFamily
 from pcsp.model import (
     Clause,
     Instance,
@@ -25,6 +26,7 @@ from pcsp.pipeline import (
     REJECT_EMPTY_LP,
     REJECT_NO_RING_POINT,
     OracleMismatchError,
+    _cached_valid_member,
     construct_weights,
     construct_weights_lattice,
     solve,
@@ -237,6 +239,19 @@ def test_weighted_oracle_agrees_with_rounding(name):
         out, L = weighted_apply_oracle(e.template, inst, e.family, res, j)
         assert out == tuple(res.assignment[x] for x in cl.variables)
         assert e.family.is_valid_arity(L)
+
+
+def test_member_memo_dies_with_its_family():
+    # each family is dropped before the next is made, so new families often
+    # reuse a dead one's address; a memo keyed by id() then hands back the
+    # dead family's member
+    for i in range(200):
+        fam = ThresholdFamily((Fraction(1, 2),), (i % 2, 1 - i % 2), name=f"t{i}")
+        L, member = _cached_valid_member(fam, 3)
+        assert member.name == f"t{i}[{L}]"
+        assert member.table[((0, L),)] == 1 - i % 2
+        del fam, member
+        gc.collect()
 
 
 def test_weighted_oracle_needs_accepted_result():

@@ -17,7 +17,6 @@ import pytest
 from pcsp.rings import (
     LatticeIdeal,
     LatticeQuotientElem,
-    ModInt,
     QuadElem,
     QuadRat,
     QuadRing,
@@ -245,24 +244,6 @@ def test_dense_element_quadratic_endpoints():
 def test_dense_element_rejects_empty_interval():
     with pytest.raises(ValueError):
         dense_element(Fraction(1), Fraction(1), QuadRing(2))
-
-
-# -- ModInt --------------------------------------------------------------------
-
-
-def test_modint_arithmetic():
-    rng = random.Random(110)
-    for _ in range(1_000):
-        m = rng.randint(1, 30)
-        a, b = rng.randint(-99, 99), rng.randint(-99, 99)
-        x, y = ModInt(a, m), ModInt(b, m)
-        assert (x + y).value == (a + b) % m
-        assert (x - y).value == (a - b) % m
-        assert (x * y).value == (a * b) % m
-        assert (-x).value == (-a) % m
-        assert int(x) == a % m
-    with pytest.raises(RingMismatchError):
-        ModInt(1, 3) + ModInt(1, 4)
 
 
 # -- Lattice quotients -----------------------------------------------------------
