@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
@@ -85,6 +86,10 @@ class Cell:
         return None if boundary else True
 
 
+# random interior points each partition is checked on at construction
+_SAMPLE_CHECKS = 10_000
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Open cells plus a corner table covering the 0/1 points of [0,1]^dim.
@@ -98,7 +103,6 @@ class PartitionSpec:
     dim: int
     cells: tuple[Cell, ...]
     corners: Mapping[tuple[int, ...], object] = field(default_factory=dict)
-    sample_checks: int = 10_000
 
     def __post_init__(self):
         if self.dim < 1:
@@ -117,7 +121,7 @@ class PartitionSpec:
     def _validate_samples(self):
         rng = random.Random(987_654_321)
         den = 97
-        for _ in range(self.sample_checks):
+        for _ in range(_SAMPLE_CHECKS):
             pt = tuple(Fraction(rng.randrange(1, den), den)
                        for _ in range(self.dim))
             hits = []
@@ -202,6 +206,58 @@ class _LazyTable:
 _EAGER_TABLE_LIMIT = 5000
 
 
+def _histograms(total: int, size: int):
+    """Every `size`-tuple of nonnegative counts summing to `total`."""
+    if size == 1:
+        yield (total,)
+        return
+    for h in range(total + 1):
+        for rest in _histograms(total - h, size - 1):
+            yield (h,) + rest
+
+
+def _build_member(family, sizes: tuple[int, ...],
+                  build_all: bool = False) -> BlockSymmetricFunction:
+    """The member with blocks `sizes`, valued by `family._entry(sizes, key)`.
+
+    Keys are per-block histograms over `family.domain`.  The table is built
+    up front when it is small or `build_all` is set (the build is then the
+    arity check), otherwise entry by entry on first access.  An up-front
+    build that hits a point the partition cannot classify makes the arity
+    invalid.
+    """
+    L = sum(sizes)
+    d = len(family.domain)
+    if build_all or prod(comb(s + d - 1, d - 1) for s in sizes) <= _EAGER_TABLE_LIMIT:
+        keys = product(*(_histograms(s, d) for s in sizes))
+        try:
+            table: Mapping = {key: family._entry(sizes, key) for key in keys}
+        except PartitionError as e:
+            raise InvalidArityError(f"arity {L}: {e}") from e
+    else:
+        table = _LazyTable(lambda key: family._entry(sizes, key))
+    return BlockSymmetricFunction(family.domain, family.outputs(), sizes,
+                                  table, f"{family.name}[{L}]")
+
+
+def _one_block(L: int) -> tuple[int, ...]:
+    if L < 1:
+        raise InvalidArityError("arity must be positive")
+    return (L,)
+
+
+def _residue(w, modulus: int) -> int:
+    """w mod `modulus`, for an int or an element of exactly Z/modulus."""
+    if isinstance(w, LatticeQuotientElem):
+        if w.lattice.diag != (modulus,):
+            raise ValueError(f"expected an element of Z/{modulus}, "
+                             f"got one of {w.lattice}")
+        return w.vector[0]
+    if not isinstance(w, int):
+        raise ValueError(f"expected an int or an element of Z/{modulus}")
+    return w % modulus
+
+
 def _check_thresholds(thresholds):
     ts = tuple(Fraction(t) for t in thresholds)
     if any(t < 0 or t > 1 for t in ts):
@@ -246,19 +302,11 @@ class ThresholdFamily:
     def is_valid_arity(self, L: int) -> bool:
         return L >= 1 and _no_interior_tie(self.thresholds, L)
 
+    def _entry(self, sizes, key):
+        return self.eta[interval_index(self.thresholds, Fraction(key[0][1], sizes[0]))]
+
     def member(self, L: int) -> BlockSymmetricFunction:
-        if L < 1:
-            raise InvalidArityError("arity must be positive")
-
-        def fn(key):
-            return self.eta[interval_index(self.thresholds, Fraction(key[0][1], L))]
-
-        if L + 1 <= _EAGER_TABLE_LIMIT:
-            table: Mapping = {((L - w, w),): fn(((L - w, w),)) for w in range(L + 1)}
-        else:
-            table = _LazyTable(fn)
-        return BlockSymmetricFunction(self.domain, self.outputs(), (L,),
-                                      table, f"{self.name}[{L}]")
+        return _build_member(self, _one_block(L))
 
     def round(self, v):
         return self.eta[interval_index(self.thresholds, v)]
@@ -294,29 +342,14 @@ class PeriodicFamily:
     def is_valid_arity(self, L: int) -> bool:
         return L >= 1 and L % self.modulus == self.residue % self.modulus
 
+    def _entry(self, sizes, key):
+        return self.eta[sum(d * h for d, h in zip(self.domain, key[0])) % self.modulus]
+
     def member(self, L: int) -> BlockSymmetricFunction:
-        if L < 1:
-            raise InvalidArityError("arity must be positive")
-        dom = self.domain
-
-        def fn(key):
-            hist = key[0]
-            w = sum(d * h for d, h in zip(dom, hist)) % self.modulus
-            return self.eta[w]
-
-        if len(dom) == 2 and L + 1 <= _EAGER_TABLE_LIMIT:
-            table: Mapping = {((L - w, w),): fn(((L - w, w),)) for w in range(L + 1)}
-        else:
-            table = _LazyTable(fn)
-        return BlockSymmetricFunction(dom, self.outputs(), (L,),
-                                      table, f"{self.name}[{L}]")
+        return _build_member(self, _one_block(L))
 
     def round(self, w):
-        if isinstance(w, LatticeQuotientElem):
-            if w.lattice.dim != 1:
-                raise ValueError("expected a rank-1 quotient")
-            w = w.vector[0]
-        return self.eta[int(w) % self.modulus]
+        return self.eta[_residue(w, self.modulus)]
 
 
 @dataclass(frozen=True)
@@ -361,35 +394,17 @@ class ThresholdPeriodicFamily:
         return (L >= 1 and L % self.period == self.residue % self.period
                 and _no_interior_tie(self.thresholds, L))
 
+    def _entry(self, sizes, key):
+        w = key[0][1]
+        i = interval_index(self.thresholds, Fraction(w, sizes[0]))
+        return self.etas[i][w % self.moduli[i]]
+
     def member(self, L: int) -> BlockSymmetricFunction:
-        if L < 1:
-            raise InvalidArityError("arity must be positive")
-
-        def fn(key):
-            w = key[0][1]
-            i = interval_index(self.thresholds, Fraction(w, L))
-            return self.etas[i][w % self.moduli[i]]
-
-        if L + 1 <= _EAGER_TABLE_LIMIT:
-            table: Mapping = {((L - w, w),): fn(((L - w, w),)) for w in range(L + 1)}
-        else:
-            table = _LazyTable(fn)
-        return BlockSymmetricFunction(self.domain, self.outputs(), (L,),
-                                      table, f"{self.name}[{L}]")
+        return _build_member(self, _one_block(L))
 
     def round(self, v, w):
         i = interval_index(self.thresholds, v)
-        if isinstance(w, LatticeQuotientElem):
-            if w.lattice.dim != 1:
-                raise ValueError("expected a rank-1 quotient")
-            w = w.vector[0]
-        return self.etas[i][int(w) % self.moduli[i]]
-
-
-def _split_sizes(L: int, blocks: int) -> tuple[int, ...]:
-    base = L // blocks
-    extra = L % blocks
-    return tuple(base + (1 if i < extra else 0) for i in range(blocks))
+        return self.etas[i][_residue(w, self.period) % self.moduli[i]]
 
 
 def _trivial_lattice(dim: int) -> LatticeIdeal:
@@ -397,12 +412,20 @@ def _trivial_lattice(dim: int) -> LatticeIdeal:
     return LatticeIdeal(gens)
 
 
-class _BlockRegionFamily:
-    """Block-partition code shared by the two region families.
+def _ones_fractions(sizes: tuple[int, ...], key: tuple) -> tuple:
+    """Per-block fraction of ones of a 0/1 histogram key."""
+    return tuple(Fraction(hist[1], s) for hist, s in zip(key, sizes))
 
-    A member at arity L splits its inputs into `blocks` near-equal blocks;
-    the vector of per-block ones fractions, together with the raw block
-    weights, goes to the subclass's `_finish(point, ws)` for the output.
+
+class _PartitionFamily:
+    """Code shared by the families whose members classify points with a
+    region partition.
+
+    By default a member at arity L splits its inputs into one near-equal
+    block per partition coordinate (the region families); the simplex family
+    overrides `_sizes` with a single block.  Without an `arity_hint`, an
+    arity is valid exactly when every point of its member table is
+    classified, so the whole table is built to find out.
     """
 
     def _check_radicands(self) -> None:
@@ -415,66 +438,44 @@ class _BlockRegionFamily:
         if len(set(rads)) != len(rads):
             raise ValueError("radicands must be pairwise distinct")
 
-    @property
-    def blocks(self) -> int:
-        return self.partition.dim
+    def _labels(self) -> set:
+        labels = {c.label for c in self.partition.cells}
+        labels.update(self.partition.corners.values())
+        return labels
 
-    def _block_sizes(self, L: int) -> tuple[int, ...]:
-        sizes = _split_sizes(L, self.blocks)
+    def outputs(self) -> tuple:
+        return tuple(sorted(self._labels()))
+
+    def _sizes(self, L: int) -> tuple[int, ...]:
+        blocks = self.partition.dim
+        sizes = tuple(L // blocks + (1 if i < L % blocks else 0)
+                      for i in range(blocks))
         if any(s == 0 for s in sizes):
             raise InvalidArityError(f"arity {L} leaves a block empty")
         return sizes
 
-    def _entry(self, sizes: tuple[int, ...], key: tuple):
-        ws = tuple(k[1] for k in key)
-        point = tuple(Fraction(w, s) for w, s in zip(ws, sizes))
-        return self._finish(point, ws)
-
-    def _table(self, L: int) -> dict:
-        sizes = self._block_sizes(L)
-        table: dict = {}
-
-        def rec(i: int, key: tuple):
-            if i == self.blocks:
-                table[key] = self._entry(sizes, key)
-                return
-            for w in range(sizes[i] + 1):
-                rec(i + 1, key + ((sizes[i] - w, w),))
-
-        rec(0, ())
-        return table
+    def _hinted_sizes(self, L: int) -> tuple[int, ...]:
+        sizes = self._sizes(L)
+        if self.arity_hint is not None and not self.arity_hint(L):
+            raise InvalidArityError(f"arity {L} rejected by the arity hint")
+        return sizes
 
     def is_valid_arity(self, L: int) -> bool:
-        if L < self.blocks:
-            return False
-        if self.arity_hint is not None:
-            return bool(self.arity_hint(L))
         try:
-            self._table(L)
-        except (PartitionError, InvalidArityError):
+            sizes = self._hinted_sizes(L)
+            if self.arity_hint is None:
+                _build_member(self, sizes, build_all=True)
+        except InvalidArityError:
             return False
         return True
 
     def _member(self, L: int) -> BlockSymmetricFunction:
-        sizes = self._block_sizes(L)
-        if self.arity_hint is not None:
-            if not self.arity_hint(L):
-                raise InvalidArityError(f"arity {L} rejected by the arity hint")
-            if prod(s + 1 for s in sizes) > _EAGER_TABLE_LIMIT:
-                return BlockSymmetricFunction(
-                    self.domain, self.outputs(), sizes,
-                    _LazyTable(lambda key: self._entry(sizes, key)),
-                    f"{self.name}[{L}]")
-        try:
-            table = self._table(L)
-        except PartitionError as e:
-            raise InvalidArityError(f"arity {L}: {e}") from e
-        return BlockSymmetricFunction(self.domain, self.outputs(), sizes,
-                                      table, f"{self.name}[{L}]")
+        return _build_member(self, self._hinted_sizes(L),
+                             build_all=self.arity_hint is None)
 
 
 @dataclass(frozen=True)
-class RegionFamily(_BlockRegionFamily):
+class RegionFamily(_PartitionFamily):
     """Near-equal blocks; the vector of per-block ones fractions is
     classified by a region partition whose label is the output."""
 
@@ -494,13 +495,8 @@ class RegionFamily(_BlockRegionFamily):
         if self.lattice.dim != self.partition.dim:
             raise ValueError("lattice dimension mismatch")
 
-    def outputs(self) -> tuple:
-        labels = {c.label for c in self.partition.cells}
-        labels.update(self.partition.corners.values())
-        return tuple(sorted(labels))
-
-    def _finish(self, point, ws):
-        return evaluate_partition(self.partition, point)
+    def _entry(self, sizes, key):
+        return evaluate_partition(self.partition, _ones_fractions(sizes, key))
 
     def member(self, L: int) -> BlockSymmetricFunction:
         return self._member(L)
@@ -510,7 +506,7 @@ class RegionFamily(_BlockRegionFamily):
 
 
 @dataclass(frozen=True)
-class RegionPeriodicFamily(_BlockRegionFamily):
+class RegionPeriodicFamily(_PartitionFamily):
     """Region label picks a target quotient and residue map for the raw
     block-weight vector."""
 
@@ -525,9 +521,7 @@ class RegionPeriodicFamily(_BlockRegionFamily):
 
     def __post_init__(self):
         self._check_radicands()
-        labels = {c.label for c in self.partition.cells}
-        labels.update(self.partition.corners.values())
-        if set(self.cell_data) != labels:
+        if set(self.cell_data) != self._labels():
             raise ValueError("cell_data labels differ from partition labels")
         for label, (lat, eta) in self.cell_data.items():
             if lat.dim != self.partition.dim:
@@ -543,10 +537,10 @@ class RegionPeriodicFamily(_BlockRegionFamily):
         return tuple(sorted({v for _, eta in self.cell_data.values()
                              for v in eta.values()}))
 
-    def _finish(self, point, ws):
-        label = evaluate_partition(self.partition, point)
+    def _entry(self, sizes, key):
+        label = evaluate_partition(self.partition, _ones_fractions(sizes, key))
         lat, eta = self.cell_data[label]
-        return eta[lat.canonicalize(ws)]
+        return eta[lat.canonicalize(tuple(hist[1] for hist in key))]
 
     def member(self, L: int) -> BlockSymmetricFunction:
         return self._member(L)
@@ -558,7 +552,7 @@ class RegionPeriodicFamily(_BlockRegionFamily):
 
 
 @dataclass(frozen=True)
-class SimplexFamily:
+class SimplexFamily(_PartitionFamily):
     """Fully symmetric member over an arbitrary finite domain; the vector of
     value fractions (a point of the probability simplex) is classified by a
     partition over |D| coordinates."""
@@ -582,57 +576,15 @@ class SimplexFamily:
         if self.lattice.dim != len(self.domain):
             raise ValueError("lattice dimension mismatch")
 
-    def outputs(self) -> tuple:
-        labels = {c.label for c in self.partition.cells}
-        labels.update(self.partition.corners.values())
-        return tuple(sorted(labels))
+    def _sizes(self, L: int) -> tuple[int, ...]:
+        return _one_block(L)
 
-    def _table(self, L: int) -> dict:
-        table: dict = {}
-        dsz = len(self.domain)
-
-        def rec(i: int, rest: int, hist: tuple):
-            if i == dsz - 1:
-                full = hist + (rest,)
-                point = tuple(Fraction(h, L) for h in full)
-                table[(full,)] = evaluate_partition(self.partition, point)
-                return
-            for h in range(rest + 1):
-                rec(i + 1, rest - h, hist + (h,))
-
-        rec(0, L, ())
-        return table
-
-    def is_valid_arity(self, L: int) -> bool:
-        if L < 1:
-            return False
-        if self.arity_hint is not None:
-            return bool(self.arity_hint(L))
-        try:
-            self._table(L)
-        except PartitionError:
-            return False
-        return True
+    def _entry(self, sizes, key):
+        return evaluate_partition(self.partition,
+                                  tuple(Fraction(h, sizes[0]) for h in key[0]))
 
     def member(self, L: int) -> BlockSymmetricFunction:
-        if L < 1:
-            raise InvalidArityError("arity must be positive")
-        if self.arity_hint is not None:
-            if not self.arity_hint(L):
-                raise InvalidArityError(f"arity {L} rejected by the arity hint")
-            dsz = len(self.domain)
-            if comb(L + dsz - 1, dsz - 1) > _EAGER_TABLE_LIMIT:
-                def fn(key):
-                    point = tuple(Fraction(h, L) for h in key[0])
-                    return evaluate_partition(self.partition, point)
-                return BlockSymmetricFunction(self.domain, self.outputs(), (L,),
-                                              _LazyTable(fn), f"{self.name}[{L}]")
-        try:
-            table = self._table(L)
-        except PartitionError as e:
-            raise InvalidArityError(f"arity {L}: {e}") from e
-        return BlockSymmetricFunction(self.domain, self.outputs(), (L,),
-                                      table, f"{self.name}[{L}]")
+        return self._member(L)
 
     def round(self, point: Sequence):
         return evaluate_partition(self.partition, point)
@@ -642,10 +594,31 @@ Family = (ThresholdFamily | PeriodicFamily | ThresholdPeriodicFamily |
           RegionFamily | RegionPeriodicFamily | SimplexFamily)
 
 
-def smallest_valid_arity(family, minimum: int = 1, limit: int = 1_000_000) -> int:
-    L = max(1, minimum)
-    while L <= limit:
-        if family.is_valid_arity(L):
-            return L
-        L += 1
-    raise InvalidArityError(f"no valid arity of {family.name} up to {limit}")
+# the arity scan gives up after this many candidates
+_ARITY_SCAN_WINDOW = 1_000_000
+
+
+def scan_valid_arity(family, minimum: int = 1):
+    """Smallest valid arity L >= minimum, with the member at L or None.
+
+    Partition families without an arity hint can only tell an invalid arity
+    by building its member table, so for them the scan builds each member
+    once and returns the valid one; other families are scanned with
+    `is_valid_arity` and build nothing.
+    """
+    start = max(1, minimum)
+    builds = isinstance(family, _PartitionFamily) and family.arity_hint is None
+    for L in range(start, start + _ARITY_SCAN_WINDOW):
+        if builds:
+            try:
+                return L, family.member(L)
+            except InvalidArityError:
+                continue
+        elif family.is_valid_arity(L):
+            return L, None
+    raise InvalidArityError(f"no valid arity of {family.name} in "
+                            f"[{start}, {start + _ARITY_SCAN_WINDOW})")
+
+
+def smallest_valid_arity(family, minimum: int = 1) -> int:
+    return scan_valid_arity(family, minimum)[0]

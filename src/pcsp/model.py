@@ -119,8 +119,7 @@ def verify_assignment(template: PromiseTemplate, instance: Instance,
 
 
 def plant_satisfiable_instance(template: PromiseTemplate, n_vars: int,
-                               n_clauses: int, rng: random.Random,
-                               distinct_vars: bool = True
+                               n_clauses: int, rng: random.Random
                                ) -> tuple[Instance, list]:
     """Random instance plus a strong-side assignment that satisfies it.
 
@@ -129,7 +128,7 @@ def plant_satisfiable_instance(template: PromiseTemplate, n_vars: int,
     is satisfiable by construction.
     """
     max_arity = max(rel.arity for rel in template.relations)
-    if distinct_vars and n_vars < max_arity:
+    if n_vars < max_arity:
         raise ValueError("not enough variables for distinct-variable clauses")
     for _ in range(200):
         hidden = [rng.choice(template.domain) for _ in range(n_vars)]
@@ -144,20 +143,17 @@ def plant_satisfiable_instance(template: PromiseTemplate, n_vars: int,
                 rel_idx = rng.randrange(len(template.relations))
                 rel = template.relations[rel_idx]
                 tup = rng.choice(sorted(rel.strong))
-                if distinct_vars:
-                    need: dict = {}
-                    for d in tup:
-                        need[d] = need.get(d, 0) + 1
-                    if any(len(by_value[d]) < c for d, c in need.items()):
-                        continue
-                    chosen = {d: rng.sample(by_value[d], c) for d, c in need.items()}
-                    counters = {d: 0 for d in need}
-                    vs = []
-                    for d in tup:
-                        vs.append(chosen[d][counters[d]])
-                        counters[d] += 1
-                else:
-                    vs = [rng.choice(by_value[d]) for d in tup]
+                need: dict = {}
+                for d in tup:
+                    need[d] = need.get(d, 0) + 1
+                if any(len(by_value[d]) < c for d, c in need.items()):
+                    continue
+                chosen = {d: rng.sample(by_value[d], c) for d, c in need.items()}
+                counters = {d: 0 for d in need}
+                vs = []
+                for d in tup:
+                    vs.append(chosen[d][counters[d]])
+                    counters[d] += 1
                 placed = Clause(rel_idx, tuple(vs))
                 break
             if placed is None:
@@ -475,7 +471,6 @@ def barycentric_warm_point(template: PromiseTemplate, instance: Instance,
 class AffineLayout:
     n_vars: int
     lattice: LatticeIdeal
-    w_tags: list[str]
     r_base: dict = field(default_factory=dict)
     r_tuples: dict = field(default_factory=dict)
     width: int = 0
@@ -492,7 +487,6 @@ class AffineSystem:
 def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
                             lattice: LatticeIdeal,
                             embedding: Mapping,
-                            w_tag: str = "full",
                             r_tag: str = "full") -> AffineSystem:
     """Affine relaxation over Z^b / J: per clause, ring multipliers over the
     strong tuples that sum to one and reproduce each position's embedded
@@ -507,9 +501,9 @@ def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
     if any(len(t) != b for t in emb.values()):
         raise ValueError("embedding does not match the lattice dimension")
     n = instance.n_vars
-    layout = AffineLayout(n, lattice, [w_tag] * n)
+    layout = AffineLayout(n, lattice)
     col = n
-    var_tags = [w_tag] * n
+    var_tags = ["full"] * n
     for j, cl in enumerate(instance.clauses):
         tuples = sorted(template.relations[cl.relation].strong)
         layout.r_base[j] = col

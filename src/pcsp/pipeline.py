@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .families import InvalidArityError
+from .families import scan_valid_arity
 from .linalg import solve_lattice_quotient_system, value_sign
 from .lp import STATUS_EMPTY, STATUS_OK, ring_feasible_point
 from .model import (
@@ -38,10 +38,8 @@ REJECT_AFFINE = "affine relaxation infeasible"
 
 @dataclass
 class LpTranscript:
-    radicand: int
     layout: BasicLpLayout
     point: list
-    detail: dict
 
     def clause_multipliers(self, j: int) -> dict:
         base = {t: self.point[self.layout.lam_index(j, t)]
@@ -90,7 +88,7 @@ def _solve_basic_lp(template: PromiseTemplate, instance: Instance,
     res = ring_feasible_point(system, QuadRing(radicand), warm_point=warm)
     if res.status != STATUS_OK:
         return res.status, None
-    return STATUS_OK, LpTranscript(radicand, layout, res.point, res.transcript)
+    return STATUS_OK, LpTranscript(layout, res.point)
 
 
 def _solve_affine(template: PromiseTemplate, instance: Instance,
@@ -239,9 +237,34 @@ def _assert_weight_conditions(ws: list[int], alphas: Sequence, L: int,
             raise AssertionError("weight drifts more than two steps")
 
 
-def _check_sum_to_one(alphas: Sequence) -> None:
+def _weights(alphas: Sequence, residues: Sequence, L: int, step: int,
+             anchor) -> list[int]:
+    """Integer weights w_p >= 0 with sum L, w_p = anchor(residues[p])
+    (mod step), and |w_p - alphas[p] * L| <= 2 * step."""
+    m = len(alphas)
+    if len(residues) != m:
+        raise ValueError("multiplier count mismatch")
+    if L < step * m:
+        raise ValueError(f"arity {L} below the weight guard {step * m}")
     if value_sign(sum(alphas[1:], alphas[0]) - 1) != 0:
         raise ValueError("clause multipliers do not sum to one")
+    anchors = [anchor(r) for r in residues]
+    if (L - sum(anchors)) % step:
+        raise ValueError("residues do not sum to one mod the quotient")
+    bases = []
+    for a, c in zip(alphas, anchors):
+        if value_sign(a) < 0:
+            raise ValueError("negative clause multiplier")
+        base = quad_floor(a * L)
+        w = base - ((base - c) % step)
+        if w < 0:
+            w = c
+        bases.append(w)
+    ws = _apportion(bases, L, step)
+    if any(w % step != c for w, c in zip(ws, anchors)):
+        raise AssertionError("weight left its residue class")
+    _assert_weight_conditions(ws, alphas, L, step)
+    return ws
 
 
 def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
@@ -252,39 +275,7 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
     alphas are exact nonnegative ring values summing to one (LP clause
     multipliers); residues are affine clause multipliers mod M.
     """
-    m = len(alphas)
-    if len(residues) != m:
-        raise ValueError("multiplier count mismatch")
-    if L < modulus * m:
-        raise ValueError(f"arity {L} below the weight guard {modulus * m}")
-    _check_sum_to_one(alphas)
-    scale = L % modulus
-    cosets = [(r * scale) % modulus for r in residues]
-    if (L - sum(cosets)) % modulus:
-        raise ValueError("residues do not sum to one mod the modulus")
-    bases = []
-    for a, c in zip(alphas, cosets):
-        if value_sign(a) < 0:
-            raise ValueError("negative clause multiplier")
-        base = quad_floor(a * L)
-        w = base - ((base - c) % modulus)
-        if w < 0:
-            w = c
-        bases.append(w)
-    ws = _apportion(bases, L, modulus)
-    if any(w % modulus != c for w, c in zip(ws, cosets)):
-        raise AssertionError("weight left its residue class")
-    _assert_weight_conditions(ws, alphas, L, modulus)
-    return ws
-
-
-def _diagonal_period(lattice: LatticeIdeal) -> int:
-    """Smallest positive t with t * (1, ..., 1) in the lattice."""
-    ones = (1,) * lattice.dim
-    for t in range(1, lattice.index + 1):
-        if lattice.contains(tuple(t * o for o in ones)):
-            return t
-    raise AssertionError("the quotient exponent bounds the diagonal period")
+    return _weights(alphas, residues, L, modulus, lambda r: r * L % modulus)
 
 
 def construct_weights_lattice(alphas: Sequence,
@@ -293,54 +284,29 @@ def construct_weights_lattice(alphas: Sequence,
     """Lattice-quotient analogue: w_p * (1, ..., 1) = L * residues[p] (mod J).
 
     Requires every L * residues[p] to be reachable from the diagonal subring;
-    'ones'-restricted affine multipliers always are.
+    'ones'-restricted affine multipliers always are.  The diagonal t * (1,
+    ..., 1) repeats with the diagonal period P, so w_p is fixed mod P.
     """
-    from .linalg import solve_integer_system
+    # the coset of t * (1, ..., 1) for each t below the diagonal period
+    diagonal: dict[tuple[int, ...], int] = {}
+    for t in range(lattice.index + 1):
+        coset = lattice.canonicalize((t,) * lattice.dim)
+        if coset in diagonal:
+            break
+        diagonal[coset] = t
 
-    m = len(alphas)
-    b = lattice.dim
-    if len(residues) != m:
-        raise ValueError("multiplier count mismatch")
-    period = _diagonal_period(lattice)
-    if L < period * m:
-        raise ValueError(f"arity {L} below the weight guard {period * m}")
-    _check_sum_to_one(alphas)
-    gens = [tuple(lattice.hnf_rows[i][k] for i in range(b)) for k in range(b)]
-    targets = []
-    anchors = []
-    for r in residues:
+    def anchor(r: LatticeQuotientElem) -> int:
         if r.lattice != lattice:
             raise ValueError("residue lattice mismatch")
-        target = r * L
-        targets.append(target)
-        # solve w * ones + lattice combination = target, one scalar unknown
-        rows = []
-        for coord in range(b):
-            row = {0: 1}
-            for k in range(b):
-                if gens[k][coord]:
-                    row[1 + k] = gens[k][coord]
-            rows.append(row)
-        sol = solve_integer_system(rows, list(target.vector), 1 + b)
-        if sol is None:
+        t = diagonal.get((r * L).vector)
+        if t is None:
             raise ValueError("affine multiplier unreachable from the diagonal")
-        anchors.append(sol[0] % period)
-    if (L - sum(anchors)) % period:
-        raise ValueError("residues do not sum to one mod the quotient")
-    bases = []
-    for a, anchor in zip(alphas, anchors):
-        if value_sign(a) < 0:
-            raise ValueError("negative clause multiplier")
-        base = quad_floor(a * L)
-        w = base - ((base - anchor) % period)
-        if w < 0:
-            w = anchor
-        bases.append(w)
-    ws = _apportion(bases, L, period)
-    for w, target in zip(ws, targets):
-        if not lattice.contains(tuple(w - t for t in target.vector)):
+        return t
+
+    ws = _weights(alphas, residues, L, len(diagonal), anchor)
+    for w, r in zip(ws, residues):
+        if not lattice.contains(tuple(w - t for t in (r * L).vector)):
             raise AssertionError("weight left its coset")
-    _assert_weight_conditions(ws, alphas, L, period)
     return ws
 
 
@@ -353,52 +319,28 @@ class OracleMismatchError(AssertionError):
     """Member replay disagrees with rounded output even after escalation."""
 
 
-def _cached_valid_member(family, minimum: int, window: int = 1_000_000):
+def _cached_valid_member(family, minimum: int):
     """First member at a valid arity >= minimum, memoized on the family.
 
     The memo lives in the family's own attribute dict, so it dies with the
     family (region families are unhashable, so no weak-keyed map can hold
-    it).  Partition-backed families without an arity hint detect invalid
-    arities while building the member table, so the scan attempts the build
-    directly rather than paying for a separate validity pass.
+    it).
     """
     memo = vars(family).setdefault("_valid_members", {})
     got = memo.get(minimum)
     if got is None:
-        build_directly = (family.kind in ("reg", "reg-per", "simplex")
-                          and getattr(family, "arity_hint", None) is None)
-        start = max(1, minimum)
-        for L in range(start, start + window):
-            if build_directly:
-                try:
-                    got = memo[minimum] = (L, family.member(L))
-                    break
-                except InvalidArityError:
-                    continue
-            if family.is_valid_arity(L):
-                got = memo[minimum] = (L, family.member(L))
-                break
-        else:
-            raise ValueError(f"no valid arity of {family.name} in "
-                             f"[{start}, {start + window})")
+        L, member = scan_valid_arity(family, minimum)
+        if member is None:
+            member = family.member(L)
+        got = memo[minimum] = (L, member)
     return got
 
 
 def _weight_guard(family, m: int) -> int:
-    if family.kind == "thr":
-        return m
-    if family.kind == "per":
-        return family.modulus * m
-    if family.kind == "thr-per":
-        return family.period * m
-    if family.kind == "reg":
-        return family.lattice.index * m * family.lattice.dim
-    if family.kind == "reg-per":
-        lat = family.affine_lattice
-        return lat.index * m * lat.dim
-    if family.kind == "simplex":
-        return family.lattice.index * m * family.lattice.dim
-    raise ValueError(f"unknown family kind {family.kind!r}")
+    """Arity unit of an m-tuple clause's weights: the index times the rank
+    of the affine lattice, per tuple; the oracle scans from a multiple."""
+    lattice = relaxation_plan(family).lattice
+    return m if lattice is None else lattice.index * lattice.dim * m
 
 
 def _column_histogram(tuples, weights, position, domain) -> tuple[int, ...]:

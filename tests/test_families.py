@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import pcsp.families as families
 from pcsp.families import (
     Cell,
     InvalidArityError,
@@ -144,6 +146,8 @@ def test_periodic_round_accepts_ints_and_quotients():
     assert MOD7.round(lat.element((3,))) == 0
     with pytest.raises(ValueError):
         MOD7.round(LatticeIdeal([(7, 0), (0, 7)]).element((1, 1)))
+    with pytest.raises(ValueError):
+        MOD7.round(LatticeIdeal([(5,)]).element((6,)))
 
 
 def test_periodic_validity():
@@ -183,6 +187,8 @@ def test_thrper_round_on_ring_values():
     lat = LatticeIdeal([(2,)])
     assert FAM_GL.round(v, lat.element((0,))) == 2
     assert FAM_GL.round(v, lat.element((1,))) == 1
+    with pytest.raises(ValueError):
+        FAM_GL.round(v, LatticeIdeal([(3,)]).element((1,)))
 
 
 def test_thrper_constructor_validation():
@@ -450,3 +456,32 @@ def test_thrper_equals_one_block_regper():
         for w in range(L + 1):
             key = ((L - w, w),)
             assert a.value(key) == b.value(key)
+
+
+# ---------------------------------------------------------------------------
+# eager and lazy member tables
+# ---------------------------------------------------------------------------
+
+
+def _odd(L):
+    return L % 2 == 1
+
+
+@pytest.mark.parametrize("family, L", [
+    (MAJ, 5),
+    (MOD7, 8),
+    (FAM_GL, 5),
+    # an arity hint lets a partition family skip building the whole table
+    (dataclasses.replace(MALT, arity_hint=_odd), 5),
+    (dataclasses.replace(regper_family(), arity_hint=_odd), 5),
+    (dataclasses.replace(RAINBOW, arity_hint=lambda L: L % 3 != 0), 4),
+], ids=["thr", "per", "thr-per", "reg", "reg-per", "simplex"])
+def test_lazy_member_matches_eager(family, L, monkeypatch):
+    eager = family.member(L)
+    assert isinstance(eager.table, dict)
+    monkeypatch.setattr(families, "_EAGER_TABLE_LIMIT", 0)
+    lazy = family.member(L)
+    assert not isinstance(lazy.table, dict)
+    assert lazy.block_sizes == eager.block_sizes
+    for key, value in eager.table.items():
+        assert lazy.table[key] == value

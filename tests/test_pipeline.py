@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -11,7 +12,13 @@ from itertools import product
 import pytest
 
 from pcsp.corpus import entry
-from pcsp.families import Cell, PartitionSpec, RegionPeriodicFamily, ThresholdFamily
+from pcsp.families import (
+    Cell,
+    PartitionSpec,
+    RegionFamily,
+    RegionPeriodicFamily,
+    ThresholdFamily,
+)
 from pcsp.model import (
     Clause,
     Instance,
@@ -210,8 +217,10 @@ def test_construct_weights_lattice_rank_one_matches_scalar():
     assert construct_weights_lattice(alphas, elems, 61, lat) == scalar
 
 
-def test_construct_weights_lattice_crt():
-    lat = LatticeIdeal([(2, 0), (0, 3)])
+@pytest.mark.parametrize("gens", [((2, 0), (0, 3)), ((2, 1), (0, 3))],
+                         ids=["diagonal", "non-diagonal"])
+def test_construct_weights_lattice_crt(gens):
+    lat = LatticeIdeal(gens)
     alphas = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     residues = [lat.element(v) for v in ((1, 0), (0, 1), (0, 0))]
     L = 61
@@ -252,6 +261,28 @@ def test_member_memo_dies_with_its_family():
         assert member.table[((0, L),)] == 1 - i % 2
         del fam, member
         gc.collect()
+
+
+def test_unhinted_member_scan_builds_each_table_once(monkeypatch):
+    # without an arity hint the scan learns validity by building the table,
+    # and must hand that build on instead of building it again
+    built = Counter()
+    entry = RegionFamily._entry
+
+    def counted(self, sizes, key):
+        built[sizes, key] += 1
+        return entry(self, sizes, key)
+
+    monkeypatch.setattr(RegionFamily, "_entry", counted)
+    x_lt_y = ((Fraction(1), (0, 1)), (Fraction(-1), (1, 0)))
+    x_gt_y = ((Fraction(1), (1, 0)), (Fraction(-1), (0, 1)))
+    spec = PartitionSpec(2, (Cell(0, (x_lt_y,)), Cell(1, (x_gt_y,))),
+                         {(0, 0): 0, (1, 1): 1, (0, 1): 0, (1, 0): 1})
+    fam = RegionFamily(spec, (2, 3), name="malt")
+    L, member = _cached_valid_member(fam, 4)     # 4 = (2, 2) hits x = y
+    assert L == 5
+    assert len(member.table) == 4 * 3
+    assert max(built.values()) == 1
 
 
 def test_weighted_oracle_needs_accepted_result():
