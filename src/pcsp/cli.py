@@ -166,9 +166,9 @@ def _cmd_relax(args) -> int:
         return 0
     # affine equation dump
     if plan.lattice is None:
-        raise CliError("threshold families have no affine relaxation")
+        raise CliError(f"{family.kind} families have no affine relaxation")
     aff = build_affine_relaxation(template, instance, plan.lattice,
-                                  plan.affine_embedding, r_tag=plan.r_tag)
+                                  plan.affine_embedding)
     print(jsonio.dumps(jsonio.affine_to_json(aff)), end="")
     return 0
 

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from .model import BlockSymmetricFunction
 from .rings import (
-    LatticeIdeal,
     LatticeQuotientElem,
     SqrtExpr,
     intersect_ideals,
@@ -407,11 +406,6 @@ class ThresholdPeriodicFamily:
         return self.etas[i][_residue(w, self.period) % self.moduli[i]]
 
 
-def _trivial_lattice(dim: int) -> LatticeIdeal:
-    gens = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return LatticeIdeal(gens)
-
-
 def _ones_fractions(sizes: tuple[int, ...], key: tuple) -> tuple:
     """Per-block fraction of ones of a 0/1 histogram key."""
     return tuple(Fraction(hist[1], s) for hist, s in zip(key, sizes))
@@ -481,7 +475,6 @@ class RegionFamily(_PartitionFamily):
 
     partition: PartitionSpec
     radicands: tuple
-    lattice: LatticeIdeal | None = None
     name: str = "reg"
     arity_hint: object = None      # optional predicate certifying valid arities
 
@@ -490,10 +483,6 @@ class RegionFamily(_PartitionFamily):
 
     def __post_init__(self):
         self._check_radicands()
-        if self.lattice is None:
-            object.__setattr__(self, "lattice", _trivial_lattice(self.partition.dim))
-        if self.lattice.dim != self.partition.dim:
-            raise ValueError("lattice dimension mismatch")
 
     def _entry(self, sizes, key):
         return evaluate_partition(self.partition, _ones_fractions(sizes, key))
@@ -508,7 +497,11 @@ class RegionFamily(_PartitionFamily):
 @dataclass(frozen=True)
 class RegionPeriodicFamily(_PartitionFamily):
     """Region label picks a target quotient and residue map for the raw
-    block-weight vector."""
+    block-weight vector.
+
+    `affine_lattice`, the intersection of the cell lattices, is the quotient
+    the affine relaxation is solved over; it is computed once, here.
+    """
 
     partition: PartitionSpec
     radicands: tuple
@@ -528,10 +521,8 @@ class RegionPeriodicFamily(_PartitionFamily):
                 raise ValueError(f"label {label}: lattice dimension mismatch")
             if set(eta) != set(lat.cosets()):
                 raise ValueError(f"label {label}: eta must cover every coset")
-
-    @property
-    def affine_lattice(self) -> LatticeIdeal:
-        return intersect_ideals([lat for lat, _ in self.cell_data.values()])
+        object.__setattr__(self, "affine_lattice", intersect_ideals(
+            [lat for lat, _ in self.cell_data.values()]))
 
     def outputs(self) -> tuple:
         return tuple(sorted({v for _, eta in self.cell_data.values()
@@ -560,7 +551,6 @@ class SimplexFamily(_PartitionFamily):
     domain: tuple
     partition: PartitionSpec
     radicand: int = 2
-    lattice: LatticeIdeal | None = None
     name: str = "simplex"
     arity_hint: object = None      # optional predicate certifying valid arities
 
@@ -571,10 +561,6 @@ class SimplexFamily(_PartitionFamily):
         if self.partition.dim != len(self.domain):
             raise ValueError("partition dimension must equal the domain size")
         validate_radicand(self.radicand)
-        if self.lattice is None:
-            object.__setattr__(self, "lattice", _trivial_lattice(len(self.domain)))
-        if self.lattice.dim != len(self.domain):
-            raise ValueError("lattice dimension mismatch")
 
     def _sizes(self, L: int) -> tuple[int, ...]:
         return _one_block(L)

@@ -71,9 +71,6 @@ class HnfResult:
     def h_dense(self) -> list[list[int]]:
         return rows_from_columns(self.h_cols, self.n_rows)
 
-    def u_dense(self) -> list[list[int]]:
-        return rows_from_columns(self.u_cols, self.n_cols)
-
     def kernel_columns(self) -> list[dict[int, int]]:
         return [self.u_cols[j] for j in range(self.rank, self.n_cols)]
 

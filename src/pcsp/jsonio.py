@@ -542,7 +542,6 @@ def affine_to_json(aff: AffineSystem) -> dict:
     return {
         "quotient": [list(r) for r in aff.layout.lattice.hnf_rows],
         "width": aff.layout.width,
-        "tags": list(aff.tags),
         "rows": rows,
         "rhs": [list(e.vector) for e in aff.rhs],
     }

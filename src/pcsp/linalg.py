@@ -242,30 +242,19 @@ def _solve_mod_p(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
 def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
                                   rhs: Sequence[LatticeQuotientElem],
                                   n_vars: int,
-                                  lattice: LatticeIdeal,
-                                  var_tags: Sequence[str] | None = None
+                                  lattice: LatticeIdeal
                                   ) -> list[LatticeQuotientElem] | None:
     """Solve sum_j c_ij x_j = rhs_i over Z^b / J.
 
     A coefficient is either an int (acting on every coordinate) or a
     length-b integer tuple, which multiplies componentwise the way a ring
-    constant does.  `var_tags[j]` is 'full' (x_j ranges over the whole
-    quotient, b integer coordinates) or 'ones' (x_j restricted to the
-    diagonal subring generated by (1, ..., 1), one coordinate).  Each
-    equation gets its own block of lattice-generator slack columns, so
+    constant does.  Variable x_j takes the integer columns j*b .. j*b+b-1.
+    Each equation gets its own block of lattice-generator slack columns, so
     congruence is handled exactly.
     """
     b = lattice.dim
     m = len(srows)
-    tags = list(var_tags) if var_tags is not None else ["full"] * n_vars
-    if len(tags) != n_vars:
-        raise ValueError("var_tags length mismatch")
-    col_of: list[int] = []
-    width = 0
-    for t in tags:
-        col_of.append(width)
-        width += b if t == "full" else 1
-    slack_base = width
+    slack_base = n_vars * b
 
     modulus = lattice.hnf_rows[0][0] if b == 1 else 0
     if b == 1 and modulus < _GFP_MODULUS_LIMIT and _is_small_prime(modulus):
@@ -280,13 +269,13 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
             for j, c in srows[i].items():
                 cc = c[0] if isinstance(c, tuple) else c
                 if cc % modulus:
-                    row1[col_of[j]] = cc % modulus
+                    row1[j] = cc % modulus
             rows1.append(row1)
             rhs1.append(rhs[i].vector[0])
         sol1 = _solve_mod_p(rows1, rhs1, slack_base, modulus)
         if sol1 is None:
             return None
-        return [lattice.element((sol1[col_of[j]],)) for j in range(n_vars)]
+        return [lattice.element((sol1[j],)) for j in range(n_vars)]
 
     gens = [tuple(lattice.hnf_rows[i][k] for i in range(b)) for k in range(b)]
     out_rows: list[dict[int, int]] = []
@@ -298,12 +287,8 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
             row: dict[int, int] = {}
             for j, c in srows[i].items():
                 cc = c[coord] if isinstance(c, tuple) else c
-                if not cc:
-                    continue
-                if tags[j] == "full":
-                    row[col_of[j] + coord] = cc
-                else:
-                    row[col_of[j]] = row.get(col_of[j], 0) + cc
+                if cc:
+                    row[j * b + coord] = cc
             for k in range(b):
                 col = slack_base + (i * b + k)
                 v = gens[k][coord]
@@ -315,14 +300,7 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
     sol = solve_integer_system(out_rows, out_rhs, width)
     if sol is None:
         return None
-    out = []
-    for j in range(n_vars):
-        if tags[j] == "full":
-            vec = tuple(sol[col_of[j] + c] for c in range(b))
-        else:
-            vec = (sol[col_of[j]],) * b
-        out.append(lattice.element(vec))
-    return out
+    return [lattice.element(tuple(sol[j * b:j * b + b])) for j in range(n_vars)]
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,6 @@ class PromiseTemplate:
                 if any(v not in self.codomain for v in t):
                     raise ValueError(f"{rel.name}: weak tuple off-domain")
 
-    def relation_named(self, name: str) -> Relation:
-        for rel in self.relations:
-            if rel.name == name:
-                return rel
-        raise KeyError(name)
-
     def relation_index(self, name: str) -> int:
         for i, rel in enumerate(self.relations):
             if rel.name == name:
@@ -480,14 +474,12 @@ class AffineLayout:
 class AffineSystem:
     rows: list[dict[int, object]]      # coefficient: int or per-coord tuple
     rhs: list[LatticeQuotientElem]
-    tags: list[str]
     layout: AffineLayout
 
 
 def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
                             lattice: LatticeIdeal,
-                            embedding: Mapping,
-                            r_tag: str = "full") -> AffineSystem:
+                            embedding: Mapping) -> AffineSystem:
     """Affine relaxation over Z^b / J: per clause, ring multipliers over the
     strong tuples that sum to one and reproduce each position's embedded
     variable value.
@@ -503,13 +495,11 @@ def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
     n = instance.n_vars
     layout = AffineLayout(n, lattice)
     col = n
-    var_tags = ["full"] * n
     for j, cl in enumerate(instance.clauses):
         tuples = sorted(template.relations[cl.relation].strong)
         layout.r_base[j] = col
         layout.r_tuples[j] = tuples
         col += len(tuples)
-        var_tags.extend([r_tag] * len(tuples))
     layout.width = col
 
     rows: list[dict[int, object]] = []
@@ -530,4 +520,4 @@ def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
             row[x] = -1
             rows.append(row)
             rhs.append(zero)
-    return AffineSystem(rows, rhs, var_tags, layout)
+    return AffineSystem(rows, rhs, layout)

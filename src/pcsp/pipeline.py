@@ -1,10 +1,12 @@
 """Relax-and-round solving: exact relaxations, rounding, and weight oracles.
 
-`solve` dispatches on the family kind: threshold-style families read embedded
-variable values from a ring point of the extended LP, periodic-style families
-read residues from an affine relaxation over a finite quotient, and the
-region/simplex families combine several of each.  An instance is rejected
-exactly when one of its relaxations is infeasible over its ring.
+`solve` dispatches on the family kind.  Every kind but the periodic one reads
+embedded variable values from ring points of the basic LP, one per radicand.
+Only the kinds with a periodic part (periodic, threshold-periodic and
+region-periodic) solve an affine relaxation over a finite quotient and read
+residues from it; threshold, region and simplex families are rounded from
+the LP alone.  An instance is rejected exactly when one of its relaxations
+is infeasible over its ring.
 
 `construct_weights` and `weighted_apply_oracle` replay a rounded clause
 through an actual family member at a large valid arity, certifying that the
@@ -92,12 +94,11 @@ def _solve_basic_lp(template: PromiseTemplate, instance: Instance,
 
 
 def _solve_affine(template: PromiseTemplate, instance: Instance,
-                  lattice: LatticeIdeal, embedding: Mapping,
-                  r_tag: str = "full") -> AffineTranscript | None:
-    aff = build_affine_relaxation(template, instance, lattice, embedding,
-                                  r_tag=r_tag)
+                  lattice: LatticeIdeal, embedding: Mapping
+                  ) -> AffineTranscript | None:
+    aff = build_affine_relaxation(template, instance, lattice, embedding)
     sol = solve_lattice_quotient_system(aff.rows, aff.rhs, aff.layout.width,
-                                        lattice, aff.tags)
+                                        lattice)
     if sol is None:
         return None
     return AffineTranscript(aff, sol)
@@ -125,11 +126,10 @@ class RelaxationPlan:
     lp_embedding: Mapping | None
     lattice: LatticeIdeal | None
     affine_embedding: Mapping | None
-    r_tag: str = "full"
 
 
 def relaxation_plan(family) -> RelaxationPlan:
-    """Per-kind choice of embeddings, lattice and multiplier tag."""
+    """Per-kind choice of radicands, embeddings and lattice."""
     kind = family.kind
     dom = family.domain
     if kind == "thr":
@@ -141,16 +141,16 @@ def relaxation_plan(family) -> RelaxationPlan:
         return RelaxationPlan((family.radicand,), _SCALAR,
                               LatticeIdeal([(family.period,)]),
                               {d: (d,) for d in dom})
-    if kind in ("reg", "reg-per"):
-        lattice = family.lattice if kind == "reg" else family.affine_lattice
+    if kind == "reg":
+        return RelaxationPlan(family.radicands, _SCALAR, None, None)
+    if kind == "reg-per":
+        lattice = family.affine_lattice
         return RelaxationPlan(family.radicands, _SCALAR, lattice,
                               {d: (d,) * lattice.dim for d in dom})
     if kind == "simplex":
         one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in dom)
                    for d in dom}
-        int_hot = {d: tuple(1 if e == d else 0 for e in dom) for d in dom}
-        return RelaxationPlan((family.radicand,), one_hot, family.lattice,
-                              int_hot, r_tag="ones")
+        return RelaxationPlan((family.radicand,), one_hot, None, None)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -190,7 +190,7 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
     aff = None
     if plan.lattice is not None:
         aff = _solve_affine(template, instance, plan.lattice,
-                            plan.affine_embedding, plan.r_tag)
+                            plan.affine_embedding)
         if aff is None:
             return SolveResult(False, reason=REJECT_AFFINE)
     values = [_round_variable(family, x, lps, aff)
@@ -237,36 +237,6 @@ def _assert_weight_conditions(ws: list[int], alphas: Sequence, L: int,
             raise AssertionError("weight drifts more than two steps")
 
 
-def _weights(alphas: Sequence, residues: Sequence, L: int, step: int,
-             anchor) -> list[int]:
-    """Integer weights w_p >= 0 with sum L, w_p = anchor(residues[p])
-    (mod step), and |w_p - alphas[p] * L| <= 2 * step."""
-    m = len(alphas)
-    if len(residues) != m:
-        raise ValueError("multiplier count mismatch")
-    if L < step * m:
-        raise ValueError(f"arity {L} below the weight guard {step * m}")
-    if value_sign(sum(alphas[1:], alphas[0]) - 1) != 0:
-        raise ValueError("clause multipliers do not sum to one")
-    anchors = [anchor(r) for r in residues]
-    if (L - sum(anchors)) % step:
-        raise ValueError("residues do not sum to one mod the quotient")
-    bases = []
-    for a, c in zip(alphas, anchors):
-        if value_sign(a) < 0:
-            raise ValueError("negative clause multiplier")
-        base = quad_floor(a * L)
-        w = base - ((base - c) % step)
-        if w < 0:
-            w = c
-        bases.append(w)
-    ws = _apportion(bases, L, step)
-    if any(w % step != c for w, c in zip(ws, anchors)):
-        raise AssertionError("weight left its residue class")
-    _assert_weight_conditions(ws, alphas, L, step)
-    return ws
-
-
 def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
                       modulus: int) -> list[int]:
     """Integer weights w_p >= 0 with sum L, w_p = residues[p] * L (mod M),
@@ -275,38 +245,29 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
     alphas are exact nonnegative ring values summing to one (LP clause
     multipliers); residues are affine clause multipliers mod M.
     """
-    return _weights(alphas, residues, L, modulus, lambda r: r * L % modulus)
-
-
-def construct_weights_lattice(alphas: Sequence,
-                              residues: Sequence[LatticeQuotientElem],
-                              L: int, lattice: LatticeIdeal) -> list[int]:
-    """Lattice-quotient analogue: w_p * (1, ..., 1) = L * residues[p] (mod J).
-
-    Requires every L * residues[p] to be reachable from the diagonal subring;
-    'ones'-restricted affine multipliers always are.  The diagonal t * (1,
-    ..., 1) repeats with the diagonal period P, so w_p is fixed mod P.
-    """
-    # the coset of t * (1, ..., 1) for each t below the diagonal period
-    diagonal: dict[tuple[int, ...], int] = {}
-    for t in range(lattice.index + 1):
-        coset = lattice.canonicalize((t,) * lattice.dim)
-        if coset in diagonal:
-            break
-        diagonal[coset] = t
-
-    def anchor(r: LatticeQuotientElem) -> int:
-        if r.lattice != lattice:
-            raise ValueError("residue lattice mismatch")
-        t = diagonal.get((r * L).vector)
-        if t is None:
-            raise ValueError("affine multiplier unreachable from the diagonal")
-        return t
-
-    ws = _weights(alphas, residues, L, len(diagonal), anchor)
-    for w, r in zip(ws, residues):
-        if not lattice.contains(tuple(w - t for t in (r * L).vector)):
-            raise AssertionError("weight left its coset")
+    m = len(alphas)
+    if len(residues) != m:
+        raise ValueError("multiplier count mismatch")
+    if L < modulus * m:
+        raise ValueError(f"arity {L} below the weight guard {modulus * m}")
+    if value_sign(sum(alphas[1:], alphas[0]) - 1) != 0:
+        raise ValueError("clause multipliers do not sum to one")
+    anchors = [r * L % modulus for r in residues]
+    if (L - sum(anchors)) % modulus:
+        raise ValueError("residues do not sum to one mod the quotient")
+    bases = []
+    for a, c in zip(alphas, anchors):
+        if value_sign(a) < 0:
+            raise ValueError("negative clause multiplier")
+        base = quad_floor(a * L)
+        w = base - ((base - c) % modulus)
+        if w < 0:
+            w = c
+        bases.append(w)
+    ws = _apportion(bases, L, modulus)
+    if any(w % modulus != c for w, c in zip(ws, anchors)):
+        raise AssertionError("weight left its residue class")
+    _assert_weight_conditions(ws, alphas, L, modulus)
     return ws
 
 
@@ -336,11 +297,16 @@ def _cached_valid_member(family, minimum: int):
     return got
 
 
-def _weight_guard(family, m: int) -> int:
-    """Arity unit of an m-tuple clause's weights: the index times the rank
-    of the affine lattice, per tuple; the oracle scans from a multiple."""
-    lattice = relaxation_plan(family).lattice
-    return m if lattice is None else lattice.index * lattice.dim * m
+def _weight_guard(plan: RelaxationPlan, m: int) -> int:
+    """Arity unit of an m-tuple clause's weights: the index of the affine
+    lattice times the ring coordinates per variable, per tuple; the oracle
+    scans from a multiple."""
+    index = 1 if plan.lattice is None else plan.lattice.index
+    coords = 1
+    if plan.radicands:
+        width = len(next(iter(plan.lp_embedding.values())))
+        coords = len(plan.radicands) * width
+    return index * coords * m
 
 
 def _column_histogram(tuples, weights, position, domain) -> tuple[int, ...]:
@@ -351,56 +317,43 @@ def _column_histogram(tuples, weights, position, domain) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def _clause_block_weights(family, tuples, result: SolveResult, j: int,
-                          sizes: tuple[int, ...]) -> list[list[int]]:
-    """Per-block integer weights for clause j at the member block sizes."""
+def _clause_block_weights(plan: RelaxationPlan, tuples, result: SolveResult,
+                          j: int, sizes: tuple[int, ...]) -> list[list[int]]:
+    """Per-block integer weights for clause j at the member block sizes.
+
+    Block i takes its alphas from the i-th LP (uniform without an LP) and
+    its residues from coordinate i of the affine multipliers, stepped by
+    the i-th diagonal entry of the lattice (0 and 1 without a lattice).
+    """
     m = len(tuples)
-    kind = family.kind
-    if kind in ("thr", "thr-per"):
-        lam = result.lp[0].clause_multipliers(j)
-        alphas = [lam[t] for t in tuples]
-        if kind == "thr":
-            return [construct_weights(alphas, [0] * m, sizes[0], 1)]
-        aff = result.affine.clause_multipliers(j)
-        residues = [aff[t].vector[0] for t in tuples]
-        return [construct_weights(alphas, residues, sizes[0], family.period)]
-    if kind == "per":
-        alphas = [Fraction(1, m)] * m
-        aff = result.affine.clause_multipliers(j)
-        residues = [aff[t].vector[0] for t in tuples]
-        return [construct_weights(alphas, residues, sizes[0], family.modulus)]
-    if kind == "reg":
-        out = []
-        for i, Lb in enumerate(sizes):
+    lattice = plan.lattice
+    if lattice is not None and not lattice.is_ideal:
+        raise ValueError("weight replay needs a diagonal affine lattice")
+    aff = None if lattice is None else result.affine.clause_multipliers(j)
+    out = []
+    for i, Lb in enumerate(sizes):
+        if plan.radicands:
             lam = result.lp[i].clause_multipliers(j)
             alphas = [lam[t] for t in tuples]
-            out.append(construct_weights(alphas, [0] * m, Lb, 1))
-        return out
-    if kind == "reg-per":
-        lat = family.affine_lattice
-        if not lat.is_ideal:
-            raise ValueError("weight replay needs a diagonal affine lattice")
-        aff = result.affine.clause_multipliers(j)
-        out = []
-        for i, Lb in enumerate(sizes):
-            lam = result.lp[i].clause_multipliers(j)
-            alphas = [lam[t] for t in tuples]
+        else:
+            alphas = [Fraction(1, m)] * m
+        if aff is None:
+            residues, step = [0] * m, 1
+        else:
             residues = [aff[t].vector[i] for t in tuples]
-            out.append(construct_weights(alphas, residues, Lb, lat.diag[i]))
-        return out
-    if kind == "simplex":
-        lam = result.lp[0].clause_multipliers(j)
-        alphas = [lam[t] for t in tuples]
-        aff = result.affine.clause_multipliers(j)
-        residues = [aff[t] for t in tuples]
-        return [construct_weights_lattice(alphas, residues, sizes[0],
-                                          family.lattice)]
-    raise ValueError(f"unknown family kind {kind!r}")
+            step = lattice.diag[i]
+        out.append(construct_weights(alphas, residues, Lb, step))
+    return out
+
+
+# the oracle starts at this multiple of the weight guard and escalates the
+# arity by this factor after each mismatch, at most _MAX_ESCALATIONS times
+_ARITY_FACTOR = 10
+_MAX_ESCALATIONS = 14
 
 
 def weighted_apply_oracle(template: PromiseTemplate, instance: Instance,
-                          family, result: SolveResult, clause_index: int,
-                          arity_factor: int = 10, max_escalations: int = 14
+                          family, result: SolveResult, clause_index: int
                           ) -> tuple[tuple, int]:
     """Replay one rounded clause through a family member at a large arity.
 
@@ -421,12 +374,12 @@ def weighted_apply_oracle(template: PromiseTemplate, instance: Instance,
     rel = template.relations[cl.relation]
     tuples = sorted(rel.strong)
     expected = tuple(result.assignment[v] for v in cl.variables)
-    guard = _weight_guard(family, len(tuples))
-    minimum = arity_factor * guard
+    plan = relaxation_plan(family)
+    minimum = _ARITY_FACTOR * _weight_guard(plan, len(tuples))
     last = None
-    for _ in range(max_escalations):
+    for _ in range(_MAX_ESCALATIONS):
         L, f = _cached_valid_member(family, minimum)
-        weights = _clause_block_weights(family, tuples, result, clause_index,
+        weights = _clause_block_weights(plan, tuples, result, clause_index,
                                         f.block_sizes)
         out = []
         for pos in range(rel.arity):
@@ -437,7 +390,7 @@ def weighted_apply_oracle(template: PromiseTemplate, instance: Instance,
         if out_t == expected:
             return out_t, L
         last = (out_t, L)
-        minimum = L * arity_factor
+        minimum = L * _ARITY_FACTOR
     raise OracleMismatchError(
         f"clause {clause_index}: member output {last[0]} at arity {last[1]} "
         f"differs from rounded values {expected}")

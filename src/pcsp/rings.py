@@ -183,11 +183,6 @@ class QuadElem:
         s = isqrt(self.b * self.b * self.q)
         return self.a + s if self.b > 0 else self.a - s - 1
 
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("irrational element")
-        return Fraction(self.a)
-
     def __repr__(self):
         return f"QuadElem({self.a}, {self.b}, sqrt{self.q})"
 
@@ -459,10 +454,6 @@ def _dense_search(p, r, ring: QuadRing) -> tuple[QuadElem, int]:
 def dense_element(p, r, ring: QuadRing) -> QuadElem:
     """Some a in Z[sqrt(q)] with p < a < r (endpoints exact, interval nonempty)."""
     return _dense_search(p, r, ring)[0]
-
-
-def dense_element_with_count(p, r, ring: QuadRing) -> tuple[QuadElem, int]:
-    return _dense_search(p, r, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from pcsp.model import (Instance, PromiseTemplate, Relation,
                         check_polymorphism, plant_satisfiable_instance,
                         verify_assignment)
 from pcsp.pipeline import construct_weights, solve, weighted_apply_oracle
-from pcsp.rings import (LatticeIdeal, QuadRing, dense_element_with_count,
-                        quad_compare)
+from pcsp.rings import LatticeIdeal, QuadRing, _dense_search, quad_compare
 
 
 def _report(n: int, detail: str):
@@ -122,7 +121,7 @@ def test_criterion_3_polymorphism_checks():
         assert not rep.ok, f"g_{L} unexpectedly passed"
         # the returned witness really is a violation
         member = e.family.member(L)
-        rel = e.template.relation_named(rep.relation)
+        rel = e.template.relations[e.template.relation_index(rep.relation)]
         assert all(t in rel.strong for t in rep.witness_rows)
         assert member.apply_rows(rep.witness_rows) == rep.bad_output
         assert rep.bad_output not in rel.weak
@@ -257,7 +256,7 @@ def test_criterion_7_dense_search_bound():
         width = Fraction(num, den)       # width >= 2^-20
         p = Fraction(rng.randrange(-5 * den, 5 * den), den)
         r = p + width
-        elem, iters = dense_element_with_count(p, r, ring)
+        elem, iters = _dense_search(p, r, ring)
         assert quad_compare(elem, p) > 0 and quad_compare(elem, r) < 0, \
             "output not strictly inside the interval"
         bound = _log_alpha_ceiling(width, ring) + 2

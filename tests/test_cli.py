@@ -150,21 +150,19 @@ def test_relax_le_dump(tmp_path, capsys):
 
 
 def test_relax_le_dump_uses_the_solve_relaxation(tmp_path, capsys):
-    # simplex families solve the affine relaxation with multipliers
-    # restricted to the diagonal ('ones'); the dump must show that system
+    # simplex families are rounded from the LP alone, so there is no affine
+    # system to dump, and the solve builds none either
     inst = tmp_path / "i.json"
     doc = {"n": 4, "clauses": [{"c": "perm", "vars": [1, 2, 3]},
                                {"c": "perm", "vars": [2, 3, 4]}]}
     inst.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "relax", "rainbow", "rainbow", str(inst),
-                       "--dump", "le")
-    assert code == 0
-    tags = json.loads(out)["tags"]
-    assert tags[:4] == ["full"] * 4
-    assert len(tags) > 4 and set(tags[4:]) == {"ones"}
+    code, out, err = run(capsys, "relax", "rainbow", "rainbow", str(inst),
+                         "--dump", "le")
+    assert code == 2 and out == ""
+    assert "simplex families have no affine relaxation" in err
     e = corpus.entry("rainbow")
     res = solve(e.template, jsonio.instance_from_json(doc, e.template), e.family)
-    assert tags == res.affine.system.tags
+    assert res.accepted and res.affine is None
 
 
 def test_relax_dump_mismatches_exit_two(tmp_path, capsys):

@@ -26,6 +26,7 @@ from pcsp.families import (
     smallest_valid_arity,
 )
 from pcsp.model import PromiseTemplate, Relation, check_polymorphism
+from pcsp.pipeline import _weight_guard, relaxation_plan
 from pcsp.rings import LatticeIdeal, QuadElem, SqrtExpr
 
 
@@ -362,6 +363,11 @@ def test_regper_round_reduces_quotients():
     assert fam.round((x, y), w) == "e"     # label 1 collapses everything
 
 
+def test_regper_affine_lattice_is_computed_once():
+    fam = regper_family()
+    assert fam.affine_lattice is fam.affine_lattice
+
+
 def test_regper_validation():
     lat0 = LatticeIdeal([(2, 0), (0, 2)])
     eta0 = {(0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}
@@ -485,3 +491,21 @@ def test_lazy_member_matches_eager(family, L, monkeypatch):
     assert lazy.block_sizes == eager.block_sizes
     for key, value in eager.table.items():
         assert lazy.table[key] == value
+
+
+# ---------------------------------------------------------------------------
+# weight guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, guard", [
+    (MAJ, 4),
+    (MOD7, 28),
+    (FAM_GL, 8),
+    (MALT, 8),
+    (regper_family(), 32),
+    (RAINBOW, 12),
+], ids=["thr", "per", "thr-per", "reg", "reg-per", "simplex"])
+def test_weight_guard_per_kind(family, guard):
+    # lattice index times ring coordinates per variable, per tuple (m = 4)
+    assert _weight_guard(relaxation_plan(family), 4) == guard

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pcsp.inthnf import columns_from_rows, hnf_from_rows, solve_hnf
+from pcsp.inthnf import (columns_from_rows, hnf_from_rows, rows_from_columns,
+                         solve_hnf)
 
 
 def mat_mul(a, b):
@@ -45,7 +46,7 @@ def test_hnf_reproduces_matrix_via_u():
         mat = random_matrix(rng, n, m)
         res = hnf_from_rows(mat)
         h = res.h_dense()
-        u = res.u_dense()
+        u = rows_from_columns(res.u_cols, res.n_cols)
         assert mat_mul(mat, u) == h
         assert abs(det_fraction(u)) == 1
 

@@ -199,25 +199,6 @@ def test_lattice_solve_modint_case_brute_force():
             assert ok([e.vector[0] for e in got])
 
 
-def test_lattice_solve_ones_restriction():
-    lat = LatticeIdeal([[2, 0], [0, 3]])
-    # x constrained to multiples of (1,1): x = (1,1) solves x = (1,1)
-    got = solve_lattice_quotient_system([{0: 1}], [lat.element((1, 1))], 1, lat,
-                                        var_tags=["ones"])
-    assert got is not None
-    assert got[0].vector == (1, 1)
-    # (1, 2) is not on the diagonal mod (2,3): t = 1 mod 2, t = 2 mod 3 -> t = 5 works
-    got = solve_lattice_quotient_system([{0: 1}], [lat.element((1, 2))], 1, lat,
-                                        var_tags=["ones"])
-    assert got is not None
-    assert got[0].vector == (1, 2)
-    # mod (2,2): t = (0,1) impossible on the diagonal
-    lat2 = LatticeIdeal([[2, 0], [0, 2]])
-    got = solve_lattice_quotient_system([{0: 1}], [lat2.element((0, 1))], 1, lat2,
-                                        var_tags=["ones"])
-    assert got is None
-
-
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
 def test_lattice_solve_large_prime_has_zero_residual(p):
     # 2^31 - 1 is the largest prime the int64 GF(p) elimination may take;

@@ -334,7 +334,7 @@ def test_basic_lp_multi_coordinate_embedding():
 
 def solve_affine(aff: AffineSystem):
     return solve_lattice_quotient_system(
-        aff.rows, aff.rhs, aff.layout.width, aff.layout.lattice, aff.tags)
+        aff.rows, aff.rhs, aff.layout.width, aff.layout.lattice)
 
 
 def test_affine_relaxation_planted_mod_m():
@@ -365,20 +365,6 @@ def test_affine_relaxation_detects_contradiction():
     inst = Instance(2, (Clause(0, (0, 1)), Clause(1, (0, 1))))
     aff = build_affine_relaxation(tpl, inst, mod2, {0: (0,), 1: (1,)})
     assert solve_affine(aff) is None
-
-
-def test_affine_relaxation_respects_ones_tag():
-    mod7 = LatticeIdeal([(7,)])
-    dom = (0, 1)
-    rel = frozenset({(0, 1), (1, 0)})
-    tpl = PromiseTemplate(dom, dom, {d: d for d in dom},
-                          (Relation("neq", 2, rel, rel),))
-    inst = Instance(2, (Clause(0, (0, 1)),))
-    aff = build_affine_relaxation(tpl, inst, mod7, {0: (0,), 1: (1,)},
-                                  r_tag="ones")
-    sol = solve_affine(aff)
-    assert sol is not None
-    assert (sol[0].vector[0] + sol[1].vector[0]) % 7 == 1
 
 
 def test_lattice_solver_tuple_coefficients():

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+import pcsp.pipeline as pipeline
 from pcsp.corpus import entry
 from pcsp.families import (
     Cell,
@@ -35,7 +36,6 @@ from pcsp.pipeline import (
     OracleMismatchError,
     _cached_valid_member,
     construct_weights,
-    construct_weights_lattice,
     solve,
     weighted_apply_oracle,
 )
@@ -208,37 +208,18 @@ def test_construct_weights_input_errors():
         construct_weights(alphas, (0, 0), 41, 2)
 
 
-def test_construct_weights_lattice_rank_one_matches_scalar():
-    lat = LatticeIdeal([(3,)])
-    alphas = (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))
-    residues_int = (1, 2, 1)
-    scalar = construct_weights(alphas, residues_int, 61, 3)
-    elems = [lat.element((r,)) for r in residues_int]
-    assert construct_weights_lattice(alphas, elems, 61, lat) == scalar
+@pytest.mark.parametrize("name", ["one-in-three-malt", "rainbow"])
+def test_region_and_simplex_solve_no_affine_relaxation(name, monkeypatch):
+    # purely regional rules are rounded from the LP alone
+    def refuse(*args):
+        raise AssertionError("affine relaxation solved")
 
-
-@pytest.mark.parametrize("gens", [((2, 0), (0, 3)), ((2, 1), (0, 3))],
-                         ids=["diagonal", "non-diagonal"])
-def test_construct_weights_lattice_crt(gens):
-    lat = LatticeIdeal(gens)
-    alphas = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    residues = [lat.element(v) for v in ((1, 0), (0, 1), (0, 0))]
-    L = 61
-    ws = construct_weights_lattice(alphas, residues, L, lat)
-    assert sum(ws) == L
-    for w, r in zip(ws, residues):
-        diff = tuple(w - L * c for c in r.vector)
-        assert lat.contains(diff)
-        assert abs(w - Fraction(L, 3)) <= 2 * 6
-
-
-def test_construct_weights_lattice_unreachable_residue():
-    # odd L keeps L * (1, 0) off the diagonal of the mod-2 quotient
-    lat = LatticeIdeal([(2, 0), (0, 2)])
-    residues = [lat.element((1, 0)), lat.element((1, 0))]
-    with pytest.raises(ValueError, match="unreachable"):
-        construct_weights_lattice((Fraction(1, 2), Fraction(1, 2)),
-                                  residues, 41, lat)
+    monkeypatch.setattr(pipeline, "solve_lattice_quotient_system", refuse)
+    e = entry(name)
+    inst, _ = plant_satisfiable_instance(e.template, 6, 4, random.Random(3))
+    res = solve(e.template, inst, e.family)
+    assert res.accepted, res.reason
+    assert res.affine is None
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -294,14 +275,14 @@ def test_weighted_oracle_needs_accepted_result():
         weighted_apply_oracle(e.template, cyc, e.family, res, 0)
 
 
-def test_weighted_oracle_flags_corrupted_assignment():
+def test_weighted_oracle_flags_corrupted_assignment(monkeypatch):
     e, inst, res = solved("mod7-sandwich")
     broken = solve(e.template, inst, e.family)
     x = inst.clauses[0].variables[0]
     broken.assignment[x] = 1 - broken.assignment[x]
+    monkeypatch.setattr(pipeline, "_MAX_ESCALATIONS", 1)
     with pytest.raises(OracleMismatchError):
-        weighted_apply_oracle(e.template, inst, e.family, broken, 0,
-                              max_escalations=1)
+        weighted_apply_oracle(e.template, inst, e.family, broken, 0)
 
 
 # a one-dimensional region-periodic family: single open cell, parity output

@@ -22,9 +22,9 @@ from pcsp.rings import (
     QuadRing,
     RingMismatchError,
     SqrtExpr,
+    _dense_search,
     balanced_sum,
     dense_element,
-    dense_element_with_count,
     intersect_ideals,
     quad_compare,
     quad_floor,
@@ -221,7 +221,7 @@ def test_dense_element_iteration_bound():
         scale = rng.randint(1, 60)
         p = Fraction(rng.randint(-2 ** 30, 2 ** 30), 2 ** 20)
         w = Fraction(rng.randint(1, 2 ** 10), 2 ** scale)
-        x, iters = dense_element_with_count(p, p + w, ring)
+        x, iters = _dense_search(p, p + w, ring)
         assert quad_compare(p, x) < 0 and quad_compare(x, p + w) < 0
         bound = int(mpmath.ceil(mpmath.log(approx(w)) / mpmath.log(alpha))) + 2
         assert iters <= max(bound, 2), (p, w, iters, bound)
