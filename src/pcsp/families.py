@@ -21,7 +21,6 @@ from .rings import (
     LatticeQuotientElem,
     SqrtExpr,
     intersect_ideals,
-    quad_compare,
     validate_radicand,
 )
 
@@ -150,9 +149,9 @@ class PartitionSpec:
 
 
 def _clamp01(x):
-    if quad_compare(x, 0) < 0:
+    if x < 0:
         return Fraction(0)
-    if quad_compare(x, 1) > 0:
+    if x > 1:
         return Fraction(1)
     return x
 
@@ -165,9 +164,9 @@ def evaluate_partition(spec: PartitionSpec, point: Sequence):
     pt = tuple(_clamp01(x) for x in point)
     ints = []
     for x in pt:
-        if quad_compare(x, 0) == 0:
+        if x == 0:
             ints.append(0)
-        elif quad_compare(x, 1) == 0:
+        elif x == 1:
             ints.append(1)
         else:
             ints.append(None)
@@ -268,7 +267,7 @@ def _check_thresholds(thresholds):
 
 def interval_index(thresholds: Sequence[Fraction], v) -> int:
     """Number of thresholds strictly below v; ties fall to the lower side."""
-    return sum(1 for t in thresholds if quad_compare(t, v) < 0)
+    return sum(1 for t in thresholds if t < v)
 
 
 def _no_interior_tie(thresholds, L: int) -> bool:

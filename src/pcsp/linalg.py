@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .rings import (
     LatticeIdeal,
     LatticeQuotientElem,
     QuadElem,
-    QuadRat,
     balanced_sum,
 )
 from .simplex import OPTIMAL, UNBOUNDED, solve_inequality_lp
@@ -29,28 +28,44 @@ Coef = int | Fraction
 
 
 def value_sign(v) -> int:
-    """Exact sign of an int, Fraction, QuadElem, or QuadRat."""
-    if isinstance(v, (QuadElem, QuadRat)):
+    """Exact sign of an int, Fraction, or QuadElem."""
+    if isinstance(v, QuadElem):
         return v.sign()
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
+class _FractionalRow(Exception):
+    """A ring element met a non-integer coefficient or right-hand side."""
+
+
 def sparse_dot(row: Mapping[int, Coef], point: Sequence):
-    """row . point with exact mixed-type arithmetic."""
+    """row . point with exact mixed-type arithmetic.
+
+    Ring elements multiply by integers only; a non-integer coefficient of a
+    ring coordinate raises `_FractionalRow`, which `InequalitySystem.slack`
+    answers by clearing the row's denominators.
+    """
     terms = []
     for j, c in row.items():
         v = point[j]
-        if isinstance(c, Fraction) and isinstance(v, (QuadElem, QuadRat)):
-            # ring elements multiply by integers only; lift to quotients
-            if c.denominator == 1:
-                terms.append(v * c.numerator)
-            else:
-                terms.append(QuadRat.promote(v, v.q) * c)
+        if isinstance(c, Fraction) and isinstance(v, QuadElem):
+            if c.denominator != 1:
+                raise _FractionalRow
+            terms.append(v * c.numerator)
         else:
             terms.append(v * c)
     if not terms:
         return Fraction(0)
     return balanced_sum(terms, 0 * terms[0])
+
+
+def _cleared_row(row: Mapping[int, Coef], b: Coef) -> tuple[dict[int, int], int]:
+    """(row, b) times the lcm of their denominators: integer data, and the
+    positive scale keeps every slack's sign."""
+    scale = lcm(Fraction(b).denominator,
+                *(Fraction(c).denominator for c in row.values()))
+    return ({j: int(Fraction(c) * scale) for j, c in row.items()},
+            int(Fraction(b) * scale))
 
 
 def row_l1(row: Mapping[int, Coef]) -> Fraction:
@@ -99,18 +114,37 @@ class InequalitySystem:
         return out
 
     def slack(self, point: Sequence, i: int):
-        dot = sparse_dot(self.rows[i], point)
-        b = self.rhs[i]
-        if isinstance(b, Fraction) and isinstance(dot, (QuadElem, QuadRat)):
-            if b.denominator == 1:
-                return b.numerator - dot
-            return QuadRat.promote(b, dot.q) - dot
+        """rhs_i - row_i . point, exactly.
+
+        A ring point meets a row with a non-integer coefficient or right-hand
+        side only after the row is scaled by the lcm of its denominators, so
+        that slack is a positive multiple of the true one, with its sign.
+        """
+        row, b = self.rows[i], self.rhs[i]
+        try:
+            dot = sparse_dot(row, point)
+            if isinstance(b, Fraction) and isinstance(dot, QuadElem):
+                if b.denominator != 1:
+                    raise _FractionalRow
+                b = b.numerator
+        except _FractionalRow:
+            row, b = _cleared_row(row, b)
+            dot = sparse_dot(row, point)
         return b - dot
 
     def check_point(self, point: Sequence) -> bool:
         """Exact feasibility of a (possibly ring-valued) point."""
         return all(value_sign(self.slack(point, i)) >= 0
                    for i in range(self.n_rows))
+
+    def integerized(self) -> "InequalitySystem":
+        """Row-scaled copy with integer data; same feasible set and row order."""
+        out = InequalitySystem(self.n_vars, eq_pairs=list(self.eq_pairs))
+        for row, b in zip(self.rows, self.rhs):
+            row, b = _cleared_row(row, b)
+            out.rows.append(row)
+            out.rhs.append(b)
+        return out
 
     def equality_subsystem(self) -> tuple[list[dict[int, Coef]], list[Coef]]:
         """One equality per tracked pair."""

@@ -48,22 +48,6 @@ class RingPointResult:
     transcript: dict = field(default_factory=dict)
 
 
-def _integerized_system(system: InequalitySystem) -> InequalitySystem:
-    """Row-scaled copy with integer data; same feasible set and row order.
-
-    Ring points are substituted into rows verbatim, and ring elements only
-    mix with integer scalars, so rational inputs are normalised up front.
-    """
-    out = InequalitySystem(system.n_vars)
-    for row, b in zip(system.rows, system.rhs):
-        scale = lcm(Fraction(b).denominator,
-                    *(Fraction(c).denominator for c in row.values()))
-        out.rows.append({j: int(Fraction(c) * scale) for j, c in row.items()})
-        out.rhs.append(int(Fraction(b) * scale))
-    out.eq_pairs = list(system.eq_pairs)
-    return out
-
-
 def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
                         warm_point: Sequence[Fraction] | None = None
                         ) -> RingPointResult:
@@ -77,7 +61,9 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
     element near 1/T, which gives the same strict-slack guarantee with none
     of the orthogonalisation cost.
     """
-    system = _integerized_system(system)
+    # ring elements mix with integer scalars only, so the hull, its integer
+    # equations and the final substitution all work on integer rows
+    system = system.integerized()
     n = system.n_vars
     hull = affine_hull_and_interior(system, warm_point)
     transcript: dict = {"lp_calls": hull.lp_calls}

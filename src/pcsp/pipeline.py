@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 from typing import Mapping, Sequence
 
 from .families import scan_valid_arity
@@ -31,7 +32,7 @@ from .model import (
     build_affine_relaxation,
     build_basic_lp,
 )
-from .rings import LatticeIdeal, LatticeQuotientElem, QuadRing, quad_compare, quad_floor
+from .rings import LatticeIdeal, LatticeQuotientElem, QuadRing
 
 REJECT_EMPTY_LP = "empty relaxation polytope"
 REJECT_NO_RING_POINT = "no ring point on affine hull"
@@ -129,29 +130,41 @@ class RelaxationPlan:
 
 
 def relaxation_plan(family) -> RelaxationPlan:
-    """Per-kind choice of radicands, embeddings and lattice."""
+    """Per-kind choice of radicands, embeddings and lattice.
+
+    Memoized in the family's own attribute dict, like `_cached_valid_member`,
+    so the plan's lattice HNF is built once per family, not once per solve
+    or replay.
+    """
+    memo = vars(family)
+    plan = memo.get("_relaxation_plan")
+    if plan is not None:
+        return plan
     kind = family.kind
     dom = family.domain
     if kind == "thr":
-        return RelaxationPlan((family.radicand,), _SCALAR, None, None)
-    if kind == "per":
-        return RelaxationPlan((), None, LatticeIdeal([(family.modulus,)]),
+        plan = RelaxationPlan((family.radicand,), _SCALAR, None, None)
+    elif kind == "per":
+        plan = RelaxationPlan((), None, LatticeIdeal([(family.modulus,)]),
                               {d: (d,) for d in dom})
-    if kind == "thr-per":
-        return RelaxationPlan((family.radicand,), _SCALAR,
+    elif kind == "thr-per":
+        plan = RelaxationPlan((family.radicand,), _SCALAR,
                               LatticeIdeal([(family.period,)]),
                               {d: (d,) for d in dom})
-    if kind == "reg":
-        return RelaxationPlan(family.radicands, _SCALAR, None, None)
-    if kind == "reg-per":
+    elif kind == "reg":
+        plan = RelaxationPlan(family.radicands, _SCALAR, None, None)
+    elif kind == "reg-per":
         lattice = family.affine_lattice
-        return RelaxationPlan(family.radicands, _SCALAR, lattice,
+        plan = RelaxationPlan(family.radicands, _SCALAR, lattice,
                               {d: (d,) * lattice.dim for d in dom})
-    if kind == "simplex":
+    elif kind == "simplex":
         one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in dom)
                    for d in dom}
-        return RelaxationPlan((family.radicand,), one_hot, None, None)
-    raise ValueError(f"unknown family kind {kind!r}")
+        plan = RelaxationPlan((family.radicand,), one_hot, None, None)
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    memo["_relaxation_plan"] = plan
+    return plan
 
 
 def _round_variable(family, x: int, lps: list[LpTranscript],
@@ -232,8 +245,7 @@ def _assert_weight_conditions(ws: list[int], alphas: Sequence, L: int,
         raise AssertionError("weights do not sum to the arity")
     for w, a in zip(ws, alphas):
         scaled = a * L
-        if (quad_compare(scaled, w - 2 * step) < 0
-                or quad_compare(scaled, w + 2 * step) > 0):
+        if scaled < w - 2 * step or scaled > w + 2 * step:
             raise AssertionError("weight drifts more than two steps")
 
 
@@ -259,7 +271,7 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
     for a, c in zip(alphas, anchors):
         if value_sign(a) < 0:
             raise ValueError("negative clause multiplier")
-        base = quad_floor(a * L)
+        base = floor(a * L)
         w = base - ((base - c) % modulus)
         if w < 0:
             w = c

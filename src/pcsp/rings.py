@@ -1,11 +1,11 @@
 """Exact arithmetic domains for the solver toolkit.
 
-Provides rationals (stdlib Fraction), quadratic integer rings Z[sqrt(q)] and
-their fraction fields, lattice quotients Z^b / J with Hermite-canonical coset
-representatives, the dense-element search used by the ring-feasible LP
-rounding, and an exact sign oracle for mixed square-root
-expressions (used when partition cells compare coordinates from different
-rings).
+Provides rationals (stdlib Fraction), quadratic integer rings Z[sqrt(q)]
+whose elements compare and floor exactly against ints and Fractions, lattice
+quotients Z^b / J with Hermite-canonical coset representatives, the
+dense-element search used by the ring-feasible LP rounding, and an exact sign
+oracle for mixed square-root expressions (used when partition cells compare
+coordinates from different rings).
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
-from typing import Iterable, Sequence, Union
+from math import floor, gcd, isqrt
+from typing import Iterable, Sequence
 
 from .inthnf import hnf_from_rows
-
-Rational = Fraction
 
 
 class RingMismatchError(ValueError):
@@ -88,9 +86,6 @@ class QuadElem:
             return 1 if a * a > q * b * b else -1
         return 1 if q * b * b > a * a else -1
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -125,30 +120,6 @@ class QuadElem:
     def __neg__(self):
         return QuadElem(-self.a, -self.b, self.q)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers leave the ring")
-        out = QuadElem(1, 0, self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.q)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.q * self.b * self.b
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadRat(self, o)
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
@@ -166,8 +137,6 @@ class QuadElem:
         return hash((self.a, self.b, self.q))
 
     def __lt__(self, other):
-        if isinstance(other, QuadRat):
-            return quad_compare(self, other) < 0
         if isinstance(other, Fraction):
             # a + b sqrt(q) < n/d  <=>  d*a + d*b sqrt(q) < n   (d > 0)
             d, n = other.denominator, other.numerator
@@ -177,7 +146,7 @@ class QuadElem:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def floor(self) -> int:
+    def __floor__(self) -> int:
         if self.b == 0:
             return self.a
         s = isqrt(self.b * self.b * self.q)
@@ -185,161 +154,6 @@ class QuadElem:
 
     def __repr__(self):
         return f"QuadElem({self.a}, {self.b}, sqrt{self.q})"
-
-
-@total_ordering
-@dataclass(frozen=True)
-class QuadRat:
-    """Quotient num/den of two Z[sqrt(q)] elements, den != 0.
-
-    Not auto-reduced: Z[sqrt(q)] has no canonical gcd in general.  Equality
-    and ordering are cross-multiplicative, so representatives compare
-    consistently.
-    """
-
-    num: QuadElem
-    den: QuadElem
-
-    def __post_init__(self):
-        if self.num.q != self.den.q:
-            raise RingMismatchError("numerator and denominator radicands differ")
-        if self.den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-
-    @property
-    def q(self) -> int:
-        return self.num.q
-
-    @staticmethod
-    def promote(x, q: int) -> "QuadRat":
-        if isinstance(x, QuadRat):
-            if x.q != q:
-                raise RingMismatchError(f"mixed radicands {x.q} and {q}")
-            return x
-        if isinstance(x, QuadElem):
-            if x.q != q:
-                raise RingMismatchError(f"mixed radicands {x.q} and {q}")
-            return QuadRat(x, QuadElem(1, 0, q))
-        if isinstance(x, int):
-            return QuadRat(QuadElem(x, 0, q), QuadElem(1, 0, q))
-        if isinstance(x, Fraction):
-            return QuadRat(QuadElem(x.numerator, 0, q), QuadElem(x.denominator, 0, q))
-        raise TypeError(f"cannot promote {type(x).__name__} to QuadRat")
-
-    def sign(self) -> int:
-        return self.num.sign() * self.den.sign()
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    # -- arithmetic (cross-multiplication identities) ------------------------
-
-    def __add__(self, other):
-        o = QuadRat.promote(other, self.q)
-        return QuadRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = QuadRat.promote(other, self.q)
-        return QuadRat(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return QuadRat.promote(other, self.q) - self
-
-    def __mul__(self, other):
-        o = QuadRat.promote(other, self.q)
-        return QuadRat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = QuadRat.promote(other, self.q)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero QuadRat")
-        return QuadRat(self.num * o.den, self.den * o.num)
-
-    def __neg__(self):
-        return QuadRat(-self.num, self.den)
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other):
-        try:
-            o = QuadRat.promote(other, self.q)
-        except (TypeError, RingMismatchError):
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        # Hash via the rationalised canonical form (u + v sqrt(q)) / w.
-        u, v, w = self.rationalized()
-        return hash((u, v, w, self.q))
-
-    def __lt__(self, other):
-        o = QuadRat.promote(other, self.q)
-        s = (self.num * o.den - o.num * self.den).sign()
-        t = (self.den * o.den).sign()
-        return s * t < 0
-
-    def rationalized(self) -> tuple[Fraction, Fraction, int]:
-        """Return (u, v, w) with self == (u + v*sqrt(q)) / w, w > 0, gcd-reduced."""
-        conj = self.den.conjugate()
-        n = self.num * conj
-        w = self.den.norm()
-        if w < 0:
-            n, w = -n, -w
-        from math import gcd
-        g = gcd(gcd(abs(n.a), abs(n.b)), w)
-        return n.a // g, n.b // g, w // g
-
-    def floor(self) -> int:
-        """Exact floor via interval refinement on sqrt(q)."""
-        u, v, w = self.rationalized()
-        if v == 0:
-            return u // w
-        bits = 32
-        while True:
-            lo, hi = sqrt_bounds(self.q, bits)
-            if v > 0:
-                f_lo = (Fraction(u) + v * lo) / w
-                f_hi = (Fraction(u) + v * hi) / w
-            else:
-                f_lo = (Fraction(u) + v * hi) / w
-                f_hi = (Fraction(u) + v * lo) / w
-            a, b = f_lo.__floor__(), f_hi.__floor__()
-            if a == b:
-                return a
-            bits *= 2
-
-    def __repr__(self):
-        return f"QuadRat({self.num!r} / {self.den!r})"
-
-
-QuadLike = Union[int, Fraction, QuadElem, QuadRat]
-
-
-def quad_compare(x: QuadLike, y: QuadLike, q: int | None = None) -> int:
-    """Exact three-way comparison (-1, 0, 1) of quadratic(-rational) values."""
-    if q is None:
-        for v in (x, y):
-            if isinstance(v, (QuadElem, QuadRat)):
-                q = v.q
-                break
-    if q is None:
-        xf, yf = Fraction(x), Fraction(y)
-        return -1 if xf < yf else (0 if xf == yf else 1)
-    d = QuadRat.promote(x, q) - QuadRat.promote(y, q)
-    return d.sign()
-
-
-def quad_floor(x: QuadLike) -> int:
-    """Unique integer n with n <= x < n + 1."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.__floor__()
-    return x.floor()
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +188,6 @@ class QuadRing:
         return QuadElem(1, 0, self.q)
 
     @property
-    def sqrt(self) -> QuadElem:
-        return QuadElem(0, 1, self.q)
-
-    @property
     def alpha0(self) -> QuadElem:
         """Smallest-coefficient element m + n*sqrt(q) of (1/2, 2/3).
 
@@ -389,12 +199,11 @@ class QuadRing:
         """
         if self._alpha0 is None:
             lo, hi = Fraction(1, 2), Fraction(2, 3)
-            half = QuadRat.promote(lo, self.q)
-            root = QuadRat.promote(self.sqrt, self.q)
             for mag in range(1, 100_000):
                 hits = []
                 for n in (mag, -mag):
-                    m = (half - n * root).floor() + 1
+                    # m = floor(1/2 - n sqrt(q)) + 1, halving floor(1 - 2n sqrt(q))
+                    m = floor(QuadElem(1, -2 * n, self.q)) // 2 + 1
                     cand = QuadElem(m, n, self.q)
                     if lo < cand and cand < hi:
                         hits.append(((m * m + n * n, m, n), cand))
@@ -412,28 +221,25 @@ class QuadRing:
 def _dense_search(p, r, ring: QuadRing) -> tuple[QuadElem, int]:
     """Element of Z[sqrt(q)] strictly inside (p, r) plus the loop count.
 
-    Endpoints may be Fractions, QuadElems, or QuadRats of the same ring.
+    Endpoints may be ints, Fractions, or QuadElems of the same ring.
     The accumulation loop adds alpha0^i whenever the partial sum stays below
     the right endpoint and stops as soon as it clears the left endpoint; the
     iteration count is at most log_alpha0(r - p) + 1 after normalisation.
     """
-    q = ring.q
-    pp = QuadRat.promote(p, q)
-    rr = QuadRat.promote(r, q)
-    if not (pp < rr):
+    if not (p < r):
         raise ValueError("empty interval")
     zero = ring.zero
-    if pp < zero and zero < rr:
+    if p < zero and zero < r:
         return zero, 0
-    if not (zero < rr):
-        e, it = _dense_search(-rr, -pp, ring)
+    if not (zero < r):
+        e, it = _dense_search(-r, -p, ring)
         return -e, it
     # Now 0 <= p < r.
-    f = pp.floor()
-    pp = pp - f
-    rr = rr - f
+    f = floor(p)
+    p = p - f
+    r = r - f
     one = ring.one
-    if one < rr:
+    if one < r:
         return ring.elem(f + 1), 0
     alpha = ring.alpha0
     acc = zero
@@ -443,9 +249,9 @@ def _dense_search(p, r, ring: QuadRing) -> tuple[QuadElem, int]:
         power = power * alpha
         iters += 1
         cand = acc + power
-        if QuadRat.promote(cand, q) < rr:
+        if cand < r:
             acc = cand
-            if pp < QuadRat.promote(acc, q):
+            if p < acc:
                 return acc + f, iters
         if iters > 10_000:
             raise RuntimeError("dense search failed to converge")
@@ -702,11 +508,7 @@ class SqrtExpr:
         return SqrtExpr({1: f} if f else {})
 
     @staticmethod
-    def from_quad(x: QuadElem | QuadRat) -> "SqrtExpr":
-        if isinstance(x, QuadRat):
-            u, v, w = x.rationalized()
-            s, k = squarefree_split(x.q)
-            return SqrtExpr({1: Fraction(u, w), s: Fraction(v * k, w)})
+    def from_quad(x: QuadElem) -> "SqrtExpr":
         s, k = squarefree_split(x.q)
         return SqrtExpr({1: Fraction(x.a), s: Fraction(x.b * k)})
 
@@ -716,7 +518,7 @@ class SqrtExpr:
             return x
         if isinstance(x, (int, Fraction)):
             return SqrtExpr.from_rational(x)
-        if isinstance(x, (QuadElem, QuadRat)):
+        if isinstance(x, QuadElem):
             return SqrtExpr.from_quad(x)
         raise TypeError(f"cannot promote {type(x).__name__} to SqrtExpr")
 
@@ -743,7 +545,6 @@ class SqrtExpr:
         out: dict[int, Fraction] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in o.terms.items():
-                from math import gcd
                 g = gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 coef = c1 * c2 * g

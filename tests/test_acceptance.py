@@ -26,7 +26,7 @@ from pcsp.model import (Instance, PromiseTemplate, Relation,
                         check_polymorphism, plant_satisfiable_instance,
                         verify_assignment)
 from pcsp.pipeline import construct_weights, solve, weighted_apply_oracle
-from pcsp.rings import LatticeIdeal, QuadRing, _dense_search, quad_compare
+from pcsp.rings import LatticeIdeal, QuadRing, _dense_search
 
 
 def _report(n: int, detail: str):
@@ -88,8 +88,8 @@ def test_criterion_2_ring_lp_planted():
         assert res.status == STATUS_OK, f"seed {seed}: {res.status}"
         assert sys.check_point(res.point), f"seed {seed}: inexact point"
         for c in res.point:
-            assert quad_compare(c, half) != 0
-            assert quad_compare(c, third) != 0
+            assert c != half
+            assert c != third
     forced = InequalitySystem(1)
     forced.add_eq({0: 2}, 1)               # x = 1/2 on the whole hull
     res = ring_feasible_point(forced, ring)
@@ -239,7 +239,7 @@ def _log_alpha_ceiling(width: Fraction, ring: QuadRing) -> int:
     """Smallest k >= 0 with alpha0^k <= width (alpha0 < 1), exactly."""
     power = ring.one
     k = 0
-    while quad_compare(power, width) > 0:
+    while power > width:
         power = power * ring.alpha0
         k += 1
         assert k < 500
@@ -257,7 +257,7 @@ def test_criterion_7_dense_search_bound():
         p = Fraction(rng.randrange(-5 * den, 5 * den), den)
         r = p + width
         elem, iters = _dense_search(p, r, ring)
-        assert quad_compare(elem, p) > 0 and quad_compare(elem, r) < 0, \
+        assert elem > p and elem < r, \
             "output not strictly inside the interval"
         bound = _log_alpha_ceiling(width, ring) + 2
         assert iters <= bound, f"{iters} iterations > bound {bound}"

@@ -16,7 +16,7 @@ from pcsp.linalg import (
     solve_lattice_quotient_system,
     sparse_dot,
 )
-from pcsp.rings import LatticeIdeal
+from pcsp.rings import LatticeIdeal, QuadRing, dense_element
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
 from oracles import solve_field_system
@@ -252,6 +252,25 @@ def test_integer_orthogonal_basis():
 
 
 # -- affine hull -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("row, b", [
+    ({0: 1}, Fraction(7, 5)),                      # non-integer right-hand side
+    ({0: Fraction(5, 7)}, 1),                      # non-integer coefficient
+    ({0: Fraction(1, 3), 1: 2}, Fraction(7, 15)),  # both, next to an integer one
+], ids=["rhs", "coef", "mixed"])
+def test_ring_point_against_fractional_row(row, b):
+    # x <= 7/5 in every form; y = 0 contributes nothing
+    sys = InequalitySystem(2)
+    sys.add_le(row, b)
+    ring = QuadRing(2)
+    zero = ring.zero
+    bound, eps = Fraction(7, 5), Fraction(1, 2 ** 80)
+    above = dense_element(bound, bound + eps, ring)
+    below = dense_element(bound - eps, bound, ring)
+    assert not sys.check_point([above, zero])
+    assert sys.check_point([below, zero])
+    assert sys.slack([above, zero], 0) < 0 < sys.slack([below, zero], 0)
 
 
 def test_hull_point_at_half_is_all_implicit():

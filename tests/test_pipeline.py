@@ -16,6 +16,7 @@ from pcsp.corpus import entry
 from pcsp.families import (
     Cell,
     PartitionSpec,
+    PeriodicFamily,
     RegionFamily,
     RegionPeriodicFamily,
     ThresholdFamily,
@@ -39,7 +40,7 @@ from pcsp.pipeline import (
     solve,
     weighted_apply_oracle,
 )
-from pcsp.rings import LatticeIdeal, QuadElem, quad_compare
+from pcsp.rings import LatticeIdeal, QuadElem
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +133,13 @@ def test_lp_transcript_ties_multipliers_to_values():
     for j, cl in enumerate(inst.clauses):
         lam = lp.clause_multipliers(j)
         total = sum(lam.values())
-        assert quad_compare(total, 1) == 0
+        assert total == 1
         for t, v in lam.items():
-            assert quad_compare(v, 0) >= 0
+            assert v >= 0
         # the marginal rows tie weighted tuple columns to variable values
         for pos, x in enumerate(cl.variables):
             col = sum(v * t[pos] for t, v in lam.items())
-            assert quad_compare(col, lp.variable_value(x)) == 0
+            assert col == lp.variable_value(x)
 
 
 def test_affine_transcript_multipliers_sum_to_one():
@@ -192,8 +193,8 @@ def test_construct_weights_quadratic_alphas():
     assert ws[0] % 2 == (1 * 41) % 2
     assert ws[1] % 2 == 0
     for w, a in zip(ws, alphas):
-        assert quad_compare(a * 41, w - 4) >= 0
-        assert quad_compare(a * 41, w + 4) <= 0
+        assert a * 41 >= w - 4
+        assert a * 41 <= w + 4
 
 
 def test_construct_weights_input_errors():
@@ -242,6 +243,15 @@ def test_member_memo_dies_with_its_family():
         assert member.table[((0, L),)] == 1 - i % 2
         del fam, member
         gc.collect()
+
+
+def test_relaxation_plan_is_built_once_per_family():
+    # solve and every oracle replay ask for the plan; a periodic plan holds
+    # an HNF-built lattice
+    fam = PeriodicFamily(7, 1, tuple(1 if w == 1 else 0 for w in range(7)))
+    plan = pipeline.relaxation_plan(fam)
+    assert plan is pipeline.relaxation_plan(fam)
+    assert plan.lattice == LatticeIdeal([(7,)])
 
 
 def test_unhinted_member_scan_builds_each_table_once(monkeypatch):

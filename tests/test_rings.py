@@ -18,7 +18,6 @@ from pcsp.rings import (
     LatticeIdeal,
     LatticeQuotientElem,
     QuadElem,
-    QuadRat,
     QuadRing,
     RingMismatchError,
     SqrtExpr,
@@ -26,8 +25,6 @@ from pcsp.rings import (
     balanced_sum,
     dense_element,
     intersect_ideals,
-    quad_compare,
-    quad_floor,
     sqrt_bounds,
     squarefree_split,
 )
@@ -38,8 +35,6 @@ mpmath.mp.dps = 80
 def approx(x) -> mpmath.mpf:
     if isinstance(x, QuadElem):
         return mpmath.mpf(x.a) + mpmath.mpf(x.b) * mpmath.sqrt(x.q)
-    if isinstance(x, QuadRat):
-        return approx(x.num) / approx(x.den)
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     return mpmath.mpf(x)
@@ -79,7 +74,7 @@ def test_floor_matches_numeric_oracle():
     for _ in range(5_000):
         q = rng.choice([2, 3, 5, 11])
         x = rand_elem(rng, q, bound=10 ** 6)
-        f = x.floor()
+        f = math.floor(x)
         val = approx(x)
         assert f <= val < f + 1
 
@@ -94,8 +89,6 @@ def test_quadelem_ring_axioms():
         assert (x * y) * z == x * (y * z)
         assert x + (-x) == QuadElem(0, 0, q)
         assert x * QuadElem(1, 0, q) == x
-        assert x.conjugate().conjugate() == x
-        assert (x * y).norm() == x.norm() * y.norm()
 
 
 def test_quadelem_int_interop_and_pow():
@@ -103,10 +96,30 @@ def test_quadelem_int_interop_and_pow():
     assert x + 1 == QuadElem(2, 1, 2)
     assert 3 * x == QuadElem(3, 3, 2)
     assert 2 - x == QuadElem(1, -1, 2)
-    assert x ** 2 == QuadElem(3, 2, 2)
-    assert x ** 0 == QuadElem(1, 0, 2)
+    assert x * x == QuadElem(3, 2, 2)
     assert QuadElem(5, 0, 2) == 5
     assert hash(QuadElem(5, 0, 2)) == hash(5)
+
+
+def test_quadelem_compares_with_rationals():
+    # near-ties: the rational is within 1/den of the element, on either side
+    rng = random.Random(105)
+    for _ in range(3_000):
+        q = rng.choice([2, 3, 5, 7])
+        x = QuadElem(rng.randint(-10 ** 4, 10 ** 4),
+                     rng.choice([0, rng.randint(-99, 99)]), q)
+        vx = approx(x)
+        den = rng.choice([1, rng.randint(2, 10 ** 6)])
+        r = Fraction(int(mpmath.floor(vx * den)) + rng.randint(-1, 1), den)
+        for y in ((r, int(r)) if r.denominator == 1 else (r,)):
+            vy = approx(y)
+            assert (x < y) == (y > x) == (vx < vy), (x, y)
+            assert (x > y) == (y < x) == (vx > vy), (x, y)
+            assert (x <= y) == (y >= x) == (vx <= vy), (x, y)
+            assert (x == y) == (y == x) == (vx == vy), (x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert math.floor(x) == int(mpmath.floor(vx))
 
 
 def test_mixed_radicand_rejected():
@@ -116,73 +129,6 @@ def test_mixed_radicand_rejected():
         QuadElem(1, 1, 4)
     with pytest.raises(ValueError):
         QuadElem(1, 1, 1)
-
-
-# -- QuadRat ------------------------------------------------------------------
-
-
-def test_quadrat_compare_matches_numeric_oracle():
-    rng = random.Random(105)
-    for _ in range(3_000):
-        q = rng.choice([2, 3, 5])
-        dens = [rand_elem(rng, q, 8) for _ in range(2)]
-        dens = [d if not d.is_zero() else QuadElem(1, 1, q) for d in dens]
-        x = QuadRat(rand_elem(rng, q, 20), dens[0])
-        y = QuadRat(rand_elem(rng, q, 20), dens[1])
-        vx, vy = approx(x), approx(y)
-        if abs(vx - vy) > mpmath.mpf("1e-60"):
-            assert (x < y) == (vx < vy)
-        else:
-            assert x == y
-
-
-def test_quadrat_floor_matches_numeric_oracle():
-    rng = random.Random(106)
-    for _ in range(2_000):
-        q = rng.choice([2, 3, 7])
-        den = rand_elem(rng, q, 9)
-        if den.is_zero():
-            den = QuadElem(2, 1, q)
-        x = QuadRat(rand_elem(rng, q, 10 ** 4), den)
-        f = x.floor()
-        val = approx(x)
-        assert f <= val < f + 1, (x, f, val)
-
-
-def test_quadrat_field_axioms():
-    rng = random.Random(107)
-    one = QuadRat.promote(1, 2)
-    for _ in range(1_000):
-        nums = [rand_elem(rng, 2, 12) for _ in range(3)]
-        dens = []
-        for _ in range(3):
-            d = rand_elem(rng, 2, 6)
-            dens.append(d if not d.is_zero() else QuadElem(1, 1, 2))
-        x, y, z = (QuadRat(n, d) for n, d in zip(nums, dens))
-        assert (x + y) * z == x * z + y * z
-        assert x - x == QuadRat.promote(0, 2)
-        if not x.is_zero():
-            assert x / x == one
-        assert x * one == x
-
-
-def test_quadrat_equality_not_representation():
-    # 2/2 == (2 - sqrt2)(1 + sqrt2) / ((2 - sqrt2)(1 + sqrt2)) style identities
-    a = QuadRat(QuadElem(2, 2, 2), QuadElem(1, 1, 2))
-    b = QuadRat(QuadElem(2, 0, 2), QuadElem(1, 0, 2))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert QuadRat(QuadElem(0, 2, 2), QuadElem(0, 1, 2)) == 2
-
-
-def test_quad_compare_and_floor_wrappers():
-    assert quad_compare(Fraction(1, 2), Fraction(2, 3)) == -1
-    assert quad_compare(QuadElem(0, 1, 2), Fraction(3, 2)) == -1
-    assert quad_compare(QuadElem(0, 1, 2), QuadElem(0, 1, 2)) == 0
-    assert quad_compare(3, QuadElem(0, 2, 2)) == 1
-    assert quad_floor(Fraction(-7, 2)) == -4
-    assert quad_floor(QuadElem(0, -1, 2)) == -2
-    assert quad_floor(5) == 5
 
 
 # -- QuadRing and the dense-element search ------------------------------------
@@ -209,8 +155,7 @@ def test_dense_element_random_rational_intervals():
         w = Fraction(rng.randint(1, 10 ** 6), 10 ** 9)
         r = p + w
         x = dense_element(p, r, ring)
-        assert quad_compare(p, x) < 0
-        assert quad_compare(x, r) < 0
+        assert p < x < r
 
 
 def test_dense_element_iteration_bound():
@@ -222,23 +167,25 @@ def test_dense_element_iteration_bound():
         p = Fraction(rng.randint(-2 ** 30, 2 ** 30), 2 ** 20)
         w = Fraction(rng.randint(1, 2 ** 10), 2 ** scale)
         x, iters = _dense_search(p, p + w, ring)
-        assert quad_compare(p, x) < 0 and quad_compare(x, p + w) < 0
+        assert p < x < p + w
         bound = int(mpmath.ceil(mpmath.log(approx(w)) / mpmath.log(alpha))) + 2
         assert iters <= max(bound, 2), (p, w, iters, bound)
 
 
 def test_dense_element_quadratic_endpoints():
     ring = QuadRing(3)
-    p = QuadElem(1, 1, 3)
-    r = QuadRat(QuadElem(11, 4, 3), QuadElem(4, 0, 3))
-    assert quad_compare(p, r) < 0
-    x = dense_element(p, r, ring)
-    assert quad_compare(p, x) < 0 and quad_compare(x, r) < 0
-    # tiny interval straddling an irrational point
-    p2 = QuadRat(QuadElem(0, 1, 3), QuadElem(3, 0, 3))
-    r2 = p2 + Fraction(1, 10 ** 8)
-    x2 = dense_element(p2, r2, ring)
-    assert quad_compare(p2, x2) < 0 and quad_compare(x2, r2) < 0
+    root = QuadElem(0, 1, 3)
+    lo, hi = sqrt_bounds(3, 27)
+    cases = [
+        (QuadElem(1, 1, 3), QuadElem(3, 1, 3)),
+        (root, hi),             # 2^-27 wide, irrational left endpoint
+        (lo, root),             # and irrational right endpoint
+        (-hi, -root),           # mirrored through zero
+    ]
+    for p, r in cases:
+        x = dense_element(p, r, ring)
+        assert p < x < r
+        assert approx(p) < approx(x) < approx(r)
 
 
 def test_dense_element_rejects_empty_interval():
@@ -382,13 +329,6 @@ def test_sqrtexpr_zero_detection_and_folding():
     prod = SqrtExpr({2: Fraction(1)}) * SqrtExpr({3: Fraction(1)})
     assert (prod - Fraction(5, 2)).sign() == -1
     assert (prod - Fraction(12, 5)).sign() == 1
-
-
-def test_sqrtexpr_promotion_from_quadrat():
-    x = QuadRat(QuadElem(1, 1, 2), QuadElem(3, -1, 2))
-    e = SqrtExpr.promote(x)
-    diff = approx(x) - sum(approx(c) * mpmath.sqrt(d) for d, c in e.terms.items())
-    assert abs(diff) < mpmath.mpf("1e-60")
 
 
 # -- helpers ---------------------------------------------------------------------
