@@ -347,7 +347,8 @@ class PeriodicFamily:
         return _build_member(self, _one_block(L))
 
     def round(self, w):
-        return self.eta[_residue(w, self.modulus)]
+        """A member at L = residue (mod M) sees column sums residue * w."""
+        return self.eta[self.residue * _residue(w, self.modulus) % self.modulus]
 
 
 @dataclass(frozen=True)
@@ -401,8 +402,10 @@ class ThresholdPeriodicFamily:
         return _build_member(self, _one_block(L))
 
     def round(self, v, w):
+        """A member at L = residue (mod period) sees ones counts residue * w."""
         i = interval_index(self.thresholds, v)
-        return self.etas[i][_residue(w, self.period) % self.moduli[i]]
+        ones = self.residue * _residue(w, self.period) % self.period
+        return self.etas[i][ones % self.moduli[i]]
 
 
 def _ones_fractions(sizes: tuple[int, ...], key: tuple) -> tuple:

@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .inthnf import HnfResult, hnf_from_sparse_rows, solve_hnf
 from .rings import (
     LatticeIdeal,
@@ -230,46 +228,43 @@ def _is_small_prime(m: int) -> bool:
     return True
 
 
-# products of two residues below this bound fit the int64 elimination
-_GFP_MODULUS_LIMIT = 2 ** 31
-
-
 def _solve_mod_p(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
                  n_cols: int, p: int) -> list[int] | None:
-    """Any solution of A x = b over GF(p), free variables zero, or None.
+    """The solution of A x = b over GF(p) with every free variable zero, or
+    None when the system is inconsistent.
 
-    The elimination runs in int64, so p must stay below _GFP_MODULUS_LIMIT.
+    Each row is reduced against the pivot rows until its leading column is
+    new, so the pivot columns are the leftmost independent ones; back
+    substitution with the free variables at zero then fixes the solution.
     """
-    m = len(srows)
-    a = np.zeros((m, n_cols + 1), dtype=np.int64)
-    for i, row in enumerate(srows):
-        for j, c in row.items():
-            a[i, j] = c % p
-        a[i, n_cols] = rhs[i] % p
-    rank = 0
-    pivots = []
-    for c in range(n_cols):
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    for row, b in zip(srows, rhs):
+        r = {j: c % p for j, c in row.items() if c % p}
+        b %= p
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            prow, pb = piv
+            f = r[lead]
+            for j, c in prow.items():
+                v = (r.get(j, 0) - f * c) % p
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+            b = (b - f * pb) % p
+        if not r:
+            if b:
+                return None
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[rank] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[rank])) % p
-        pivots.append(c)
-        rank += 1
-        if rank == m:
-            break
-    if np.any(a[rank:, n_cols]):
-        return None
+        inv = pow(r[lead], -1, p)
+        pivots[lead] = ({j: c * inv % p for j, c in r.items()}, b * inv % p)
     x = [0] * n_cols
-    for i, c in enumerate(pivots):
-        x[c] = int(a[i, n_cols])
+    for lead in sorted(pivots, reverse=True):
+        prow, pb = pivots[lead]
+        x[lead] = (pb - sum(c * x[j] for j, c in prow.items())) % p
     return x
 
 
@@ -291,7 +286,7 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
     slack_base = n_vars * b
 
     modulus = lattice.hnf_rows[0][0] if b == 1 else 0
-    if b == 1 and modulus < _GFP_MODULUS_LIMIT and _is_small_prime(modulus):
+    if b == 1 and _is_small_prime(modulus):
         # rank-1 prime quotient: plain elimination over GF(p) replaces the
         # integer normal-form machinery (same verdicts, much cheaper)
         rows1: list[dict[int, int]] = []

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
+from operator import add, sub
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .linalg import InequalitySystem
 from .rings import LatticeIdeal, LatticeQuotientElem
@@ -222,58 +222,55 @@ class PolymorphismReport:
     bad_output: tuple | None = None
 
 
-def _reachable_profiles(tuples: list[tuple], domain: tuple, levels: int,
-                        max_products: int = 10 ** 7) -> list[np.ndarray]:
-    """Sumsets of tuple profiles: R_0 = {0}, R_l = R_{l-1} + profiles.
-
-    A profile of a k-tuple is its k x |D| one-hot histogram, flattened.
-    Returns [R_0, ..., R_levels] as arrays of unique rows.  Growth beyond
-    `max_products` intermediate rows per level raises ResourceGuardError.
-    """
-    k = len(tuples[0])
+def _profiles(tuples: list[tuple], domain: tuple) -> list[tuple[int, ...]]:
+    """The k x |D| one-hot histogram of each k-tuple, flattened."""
     dsz = len(domain)
     idx = {d: i for i, d in enumerate(domain)}
-    profs = np.zeros((len(tuples), k * dsz), dtype=np.int64)
-    for r, t in enumerate(tuples):
+    out = []
+    for t in tuples:
+        p = [0] * (len(t) * dsz)
         for c, v in enumerate(t):
-            profs[r, c * dsz + idx[v]] = 1
-    levels_out = [np.zeros((1, k * dsz), dtype=np.int64)]
+            p[c * dsz + idx[v]] = 1
+        out.append(tuple(p))
+    return out
+
+
+def _reachable_profiles(profs: list[tuple], levels: int,
+                        max_products: int = 10 ** 7) -> list[list[tuple]]:
+    """Sumsets of tuple profiles: R_0 = {0}, R_l = R_{l-1} + profiles.
+
+    Returns [R_0, ..., R_levels], each a sorted list of distinct profile
+    sums.  Growth beyond `max_products` intermediate sums per level raises
+    ResourceGuardError.
+    """
+    levels_out = [[(0,) * len(profs[0])]]
     for _ in range(levels):
         prev = levels_out[-1]
         if len(prev) * len(profs) > max_products:
             raise ResourceGuardError(
                 f"sumset level of {len(prev)} x {len(profs)} rows "
                 f"exceeds the budget")
-        combined = (prev[:, None, :] + profs[None, :, :]).reshape(-1, k * dsz)
-        levels_out.append(np.unique(combined, axis=0))
+        levels_out.append(sorted({tuple(map(add, a, b))
+                                  for a in prev for b in profs}))
     return levels_out
 
 
-def _witness_rows(target: np.ndarray, levels: list[np.ndarray],
-                  tuples: list[tuple], domain: tuple) -> list[tuple]:
+def _witness_rows(target: tuple, levels: list[list[tuple]],
+                  tuples: list[tuple], profs: list[tuple]) -> list[tuple]:
     """Reconstruct rows from P whose profile sum equals `target`."""
-    k = len(tuples[0])
-    dsz = len(domain)
-    idx = {d: i for i, d in enumerate(domain)}
-    prof_of = {}
-    for t in tuples:
-        p = [0] * (k * dsz)
-        for c, v in enumerate(t):
-            p[c * dsz + idx[v]] = 1
-        prof_of[t] = np.array(p, dtype=np.int64)
     rows: list[tuple] = []
-    cur = target.copy()
+    cur = target
     for lev in range(len(levels) - 1, 0, -1):
-        prev_set = {tuple(r) for r in levels[lev - 1]}
-        for t in tuples:
-            cand = cur - prof_of[t]
-            if cand.min() >= 0 and tuple(cand) in prev_set:
+        prev_set = set(levels[lev - 1])
+        for t, prof in zip(tuples, profs):
+            cand = tuple(map(sub, cur, prof))
+            if cand in prev_set:
                 rows.append(t)
                 cur = cand
                 break
         else:
             raise AssertionError("sumset reconstruction failed")
-    if cur.any():
+    if any(cur):
         raise AssertionError("sumset reconstruction left a remainder")
     rows.reverse()
     return rows
@@ -295,8 +292,8 @@ def check_polymorphism(f: BlockSymmetricFunction, template: PromiseTemplate,
         k = rel.arity
         tuples = sorted(rel.strong)
         max_size = max(f.block_sizes)
-        all_levels = _reachable_profiles(tuples, template.domain, max_size,
-                                         max_products)
+        profs = _profiles(tuples, template.domain)
+        all_levels = _reachable_profiles(profs, max_size, max_products)
         reach = [all_levels[size] for size in f.block_sizes]
         total = 1
         for r in reach:
@@ -305,26 +302,17 @@ def check_polymorphism(f: BlockSymmetricFunction, template: PromiseTemplate,
                 raise ResourceGuardError(
                     f"{rel.name}: {total} block combinations exceed the budget")
 
-        def combos(blocks: list[np.ndarray]):
-            if not blocks:
-                yield ()
-                return
-            for head in blocks[0]:
-                for rest in combos(blocks[1:]):
-                    yield (head,) + rest
-
-        for combo in combos(reach):
+        for combo in product(*reach):
             out = []
             for t in range(k):
-                key = tuple(tuple(int(x) for x in h[t * dsz:(t + 1) * dsz])
-                            for h in combo)
+                key = tuple(h[t * dsz:(t + 1) * dsz] for h in combo)
                 out.append(f.table[key])
             out_t = tuple(out)
             if out_t not in rel.weak:
                 rows: list[tuple] = []
                 for h, size in zip(combo, f.block_sizes):
-                    rows.extend(_witness_rows(np.asarray(h), all_levels[:size + 1],
-                                              tuples, template.domain))
+                    rows.extend(_witness_rows(h, all_levels[:size + 1],
+                                              tuples, profs))
                 # sanity: the reconstructed rows really produce the failure
                 if f.apply_rows(rows) != out_t:
                     raise AssertionError("witness rows do not reproduce the violation")

@@ -31,6 +31,7 @@ from .model import (
     barycentric_warm_point,
     build_affine_relaxation,
     build_basic_lp,
+    verify_assignment,
 )
 from .rings import LatticeIdeal, LatticeQuotientElem, QuadRing
 
@@ -65,6 +66,10 @@ class AffineTranscript:
 
     def variable_value(self, x: int) -> LatticeQuotientElem:
         return self.solution[x]
+
+
+class RoundingCheckError(AssertionError):
+    """Rounded values violate the weak side of the instance."""
 
 
 @dataclass
@@ -190,7 +195,8 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
 
     Deterministic: identical input produces identical output.  The result
     carries full transcripts (clause multipliers and variable values) for
-    weight-oracle replay.
+    weight-oracle replay.  An assignment that fails the weak side raises
+    RoundingCheckError; no unverified assignment is accepted.
     """
     _check_domain(template, family)
     plan = relaxation_plan(family)
@@ -208,6 +214,10 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
             return SolveResult(False, reason=REJECT_AFFINE)
     values = [_round_variable(family, x, lps, aff)
               for x in range(instance.n_vars)]
+    bad = verify_assignment(template, instance, values, side="weak")
+    if bad is not None:
+        raise RoundingCheckError(
+            f"{family.name}: rounded clause {bad} is outside the weak relation")
     return SolveResult(True, values, lp=lps, affine=aff)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import floor, gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -30,6 +30,8 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# typed keys: a cached int radicand must not admit an equal float
+@lru_cache(maxsize=64, typed=True)
 def validate_radicand(q: int) -> int:
     if not isinstance(q, int):
         raise TypeError("radicand must be an int")

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from pcsp.linalg import InequalitySystem
 from pcsp.model import (BlockSymmetricFunction, PolymorphismReport,
                         PromiseTemplate, ResourceGuardError)
@@ -63,6 +65,48 @@ def solve_field_system(rows: Sequence[Mapping[int, int | Fraction]],
             if j != piv_col and x[j]:
                 acc -= c * x[j]
         x[piv_col] = acc
+    return x
+
+
+def solve_mod_p_dense(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
+                      n_cols: int, p: int) -> list[int] | None:
+    """Reference for `linalg._solve_mod_p`: dense Gauss-Jordan over GF(p),
+    pivots in ascending column order, free variables zero.
+
+    Runs in int64, so products of two residues must fit: p < 2^31.
+    """
+    if p >= 2 ** 31:
+        raise ValueError("the int64 reference needs p < 2^31")
+    m = len(srows)
+    a = np.zeros((m, n_cols + 1), dtype=np.int64)
+    for i, row in enumerate(srows):
+        for j, c in row.items():
+            a[i, j] = c % p
+        a[i, n_cols] = rhs[i] % p
+    rank = 0
+    pivots = []
+    for c in range(n_cols):
+        nz = np.nonzero(a[rank:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[rank] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(col[hit], a[rank])) % p
+        pivots.append(c)
+        rank += 1
+        if rank == m:
+            break
+    if np.any(a[rank:, n_cols]):
+        return None
+    x = [0] * n_cols
+    for i, c in enumerate(pivots):
+        x[c] = int(a[i, n_cols])
     return x
 
 

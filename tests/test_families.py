@@ -180,6 +180,17 @@ def test_fam_gl_round_agreement():
             assert got == f.table[((L - w, w),)]
 
 
+def test_thrper_round_applies_the_residue():
+    # valid arities are L = 2 (mod 3), so a member seeing w ones stands for
+    # the affine value x with 2x = w (mod 3), that is x = 2w (mod 3)
+    fam = ThresholdPeriodicFamily((Fraction(1, 2),), (3, 3),
+                                  ((0, 1, 2), (3, 4, 5)), residue=2)
+    for L in (5, 11, 17):
+        f = fam.member(L)
+        for w in range(L + 1):
+            assert fam.round(Fraction(w, L), 2 * w % 3) == f.table[((L - w, w),)]
+
+
 def test_thrper_round_on_ring_values():
     v = QuadElem(-1, 1, 2)               # below 1/2
     assert FAM_GL.round(v, 0) == 0

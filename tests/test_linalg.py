@@ -10,6 +10,7 @@ import pytest
 from pcsp.linalg import (
     InequalitySystem,
     IntegerSolver,
+    _solve_mod_p,
     affine_hull_and_interior,
     integer_orthogonal_basis,
     solve_integer_system,
@@ -19,7 +20,7 @@ from pcsp.linalg import (
 from pcsp.rings import LatticeIdeal, QuadRing, dense_element
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
-from oracles import solve_field_system
+from oracles import solve_field_system, solve_mod_p_dense
 
 
 def sparse(row):
@@ -199,10 +200,37 @@ def test_lattice_solve_modint_case_brute_force():
             assert ok([e.vector[0] for e in got])
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 2 ** 31 - 1])
+def test_solve_mod_p_matches_dense_reference(p):
+    # the pivots are the leftmost independent columns and the free variables
+    # are zero, so the solution is unique and must equal the reference's
+    rng = random.Random(p)
+    outcomes = set()
+    for trial in range(300):
+        kind = trial % 3
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        rows = rand_sparse_rows(rng, m, n, lo=-3 * p, hi=3 * p, density=0.4)
+        if kind == 2:       # random right-hand side, often inconsistent
+            rhs = [rng.randrange(-p, 2 * p) for _ in range(m)]
+        else:               # planted solution, shifted by multiples of p
+            x = [rng.randrange(p) for _ in range(n)]
+            rhs = [sum(c * x[j] for j, c in r.items()) + p * rng.randint(-2, 2)
+                   for r in rows]
+        if kind == 1 and m >= 3:    # rank-deficient: a dependent last row
+            a, b = rng.randrange(1, p), rng.randrange(p)
+            rows[-1] = {j: a * rows[0].get(j, 0) + b * rows[1].get(j, 0)
+                        for j in set(rows[0]) | set(rows[1])}
+            rhs[-1] = a * rhs[0] + b * rhs[1]
+        got = _solve_mod_p(rows, rhs, n, p)
+        assert got == solve_mod_p_dense(rows, rhs, n, p)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
 def test_lattice_solve_large_prime_has_zero_residual(p):
-    # 2^31 - 1 is the largest prime the int64 GF(p) elimination may take;
-    # 4294967311 > 2^32 overflowed it and returned non-solutions
+    # 2^31 - 1 is the largest prime an int64 elimination can take; the
+    # GF(p) route works in Python ints, so 4294967311 > 2^32 takes it too
     lat = LatticeIdeal([(p,)])
     rng = random.Random(39)
     for _ in range(20):

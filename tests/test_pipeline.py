@@ -295,6 +295,53 @@ def test_weighted_oracle_flags_corrupted_assignment(monkeypatch):
         weighted_apply_oracle(e.template, inst, e.family, broken, 0)
 
 
+# a mod-3 family valid at L = 2 (mod 3): a member sees column sums 2x for an
+# affine value x, so clauses whose strong values sum to 1 round to weak
+# values summing to 2
+
+def mod3_template() -> PromiseTemplate:
+    dom = (0, 1, 2)
+    strong = frozenset(t for t in product(dom, repeat=3) if sum(t) % 3 == 1)
+    weak = frozenset(t for t in product(dom, repeat=3) if sum(t) % 3 == 2)
+    return PromiseTemplate(dom, dom, {0: 0, 1: 2, 2: 1},
+                           (Relation("sum1", 3, strong, weak),))
+
+
+def test_periodic_rounding_applies_the_residue():
+    tpl = mod3_template()
+    fam = PeriodicFamily(3, 2, (0, 1, 2), domain=(0, 1, 2))
+    assert all(check_polymorphism(fam.member(L), tpl).ok for L in (2, 5, 8))
+    inst, _ = plant_satisfiable_instance(tpl, 8, 6, random.Random(1))
+    res = solve(tpl, inst, fam)
+    assert res.accepted
+    assert verify_assignment(tpl, inst, res.assignment) is None
+    for j, cl in enumerate(inst.clauses):
+        out, _ = weighted_apply_oracle(tpl, inst, fam, res, j)
+        assert out == tuple(res.assignment[x] for x in cl.variables)
+
+
+def test_solve_refuses_an_assignment_off_the_weak_side():
+    # region-periodic rounding reduces one joint residue vector, while a
+    # member sees each block's own weighted sum: here clause 0 rounds to
+    # ("d", "e", "e") where the member outputs ("b", "e", "e").  The weak
+    # side has no "d", so solve must raise rather than accept.
+    malt = entry("one-in-three-malt").family
+    lat0 = LatticeIdeal([(2, 0), (0, 2)])
+    eta0 = {(0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}
+    lat1 = LatticeIdeal([(1, 0), (0, 1)])
+    fam = RegionPeriodicFamily(malt.partition, malt.radicands,
+                               {0: (lat0, eta0), 1: (lat1, {(0, 0): "e"})},
+                               arity_hint=malt.arity_hint)
+    outs = fam.outputs()
+    strong = frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+    weak = frozenset(t for t in product(outs, repeat=3) if "d" not in t)
+    tpl = PromiseTemplate((0, 1), outs, {0: "a", 1: "e"},
+                          (Relation("1in3", 3, strong, weak),))
+    inst, _ = plant_satisfiable_instance(tpl, 8, 6, random.Random(2))
+    with pytest.raises(pipeline.RoundingCheckError, match="clause 0"):
+        solve(tpl, inst, fam)
+
+
 # a one-dimensional region-periodic family: single open cell, parity output
 
 def parity_family() -> RegionPeriodicFamily:

@@ -131,6 +131,15 @@ def test_mixed_radicand_rejected():
         QuadElem(1, 1, 1)
 
 
+def test_radicand_type_checked_after_an_equal_int():
+    # the radicand check is memoized; an int radicand already validated
+    # must not admit an equal value of another type
+    QuadElem(1, 1, 2)
+    for bad in (2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            QuadElem(1, 1, bad)
+
+
 # -- QuadRing and the dense-element search ------------------------------------
 
 
