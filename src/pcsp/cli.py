@@ -5,7 +5,8 @@ families, the family's own name such as "fam-gL" or "maj") or a path to a
 JSON file.  All output is deterministic: JSON is emitted with sorted keys,
 and the solver itself never samples.
 
-Exit codes: 0 success, 1 REJECT / false / counterexample, 2 malformed input.
+Exit codes: 0 success, 1 REJECT / false / counterexample, 2 malformed input,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from pathlib import Path
 
 from . import corpus, jsonio
 from .families import InvalidArityError
-from .lp import STATUS_EMPTY, STATUS_OK, ring_feasible_point
+from .lp import STATUS_OK, ring_feasible_point
 from .model import (build_affine_relaxation, build_basic_lp,
                     check_polymorphism, plant_satisfiable_instance,
                     verify_assignment)
-from .pipeline import (REJECT_EMPTY_LP, REJECT_NO_RING_POINT, relaxation_plan,
-                       solve)
+from .pipeline import LP_REJECTS, relaxation_plan, solve
 from .rings import QuadRing, validate_radicand
 
 
@@ -183,8 +183,7 @@ def _cmd_lp(args) -> int:
     if res.status == STATUS_OK:
         print(jsonio.dumps([jsonio.quad_to_json(v) for v in res.point]), end="")
         return 0
-    reason = REJECT_EMPTY_LP if res.status == STATUS_EMPTY else REJECT_NO_RING_POINT
-    print(f"REJECT: {reason}")
+    print(f"REJECT: {LP_REJECTS[res.status]}")
     return 1
 
 
@@ -234,6 +233,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:     # a broken invariant is not a verdict
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -167,21 +167,16 @@ class IntegerSolver:
     coordinates.
     """
 
-    def __init__(self, srows: Sequence[Mapping[int, int]], n_vars: int,
-                 permute: bool = True):
+    def __init__(self, srows: Sequence[Mapping[int, int]], n_vars: int):
         self.n_vars = n_vars
         srows = [{j: int(c) for j, c in r.items() if c} for r in srows]
-        m = len(srows)
-        if permute:
-            col_nnz = [0] * n_vars
-            for r in srows:
-                for j in r:
-                    col_nnz[j] += 1
-            self.col_order = sorted(range(n_vars), key=lambda j: (col_nnz[j], j))
-            self.row_order = sorted(range(m), key=lambda i: (len(srows[i]), i))
-        else:
-            self.col_order = list(range(n_vars))
-            self.row_order = list(range(m))
+        col_nnz = [0] * n_vars
+        for r in srows:
+            for j in r:
+                col_nnz[j] += 1
+        self.col_order = sorted(range(n_vars), key=lambda j: (col_nnz[j], j))
+        self.row_order = sorted(range(len(srows)),
+                                key=lambda i: (len(srows[i]), i))
         col_pos = [0] * n_vars
         for pos, j in enumerate(self.col_order):
             col_pos[j] = pos

@@ -11,7 +11,8 @@ substitution before returning.
 For rational systems a ring point exists on the hull iff an integer point
 does: writing x = y + z sqrt(q) with integer vectors y, z, the system
 M x = b splits into M y = b and M z = 0, so the rational and irrational
-parts decouple.
+parts decouple.  So `rational_core` does all of this but the ring steps,
+once per system, and `ring_feasible_point` lifts it into one ring.
 """
 
 from __future__ import annotations
@@ -48,75 +49,81 @@ class RingPointResult:
     transcript: dict = field(default_factory=dict)
 
 
-def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
-                        warm_point: Sequence[Fraction] | None = None
-                        ) -> RingPointResult:
-    """Feasible point with every coordinate in Z[sqrt(q)], or a typed reject.
+@dataclass
+class RationalCore:
+    """The ring-free part of a ring point.  On status 'ok' the point is
+    x0 + sum_k beta_k basis[k], each beta_k a ring element within `epsilon`
+    of `alpha[k]`, strictly slack on `strict_rows`."""
 
-    Statuses: 'ok' (point returned), 'empty' (no rational point), and
-    'no-ring-point-on-hull' (feasible rationally, but the affine hull misses
-    the ring).  Small systems use the orthogonal-basis construction with one
-    ring coefficient per basis vector, which keeps point coefficients short;
-    larger ones scale the single integer direction T (y0 - x0) by one ring
-    element near 1/T, which gives the same strict-slack guarantee with none
-    of the orthogonalisation cost.
+    status: str
+    system: InequalitySystem          # the input system with integer rows
+    lp_calls: int
+    implicit: list[bool] | None = None
+    y0: list[Fraction] | None = None
+    x0: list[int] | None = None
+    path: str | None = None           # 'trivial' when y0 = x0: no step
+    delta: Fraction | None = None
+    strict_rows: list[int] = field(default_factory=list)
+    basis: list[dict[int, int]] = field(default_factory=list)
+    alpha: list[Fraction] = field(default_factory=list)
+    epsilon: Fraction | None = None
+
+
+def rational_core(system: InequalitySystem,
+                  warm_point: Sequence[Fraction] | None = None) -> RationalCore:
+    """Status, hull, integer point and lift steps of `system`, for any ring.
+
+    Statuses: 'ok', 'empty' (no rational point), and 'no-ring-point-on-hull'
+    (feasible rationally, but the affine hull misses the ring).  Small
+    systems step along an orthogonal kernel basis, one ring coefficient per
+    vector, which keeps point coefficients short; larger ones scale the
+    single integer direction T (y0 - x0) by one ring element near 1/T, which
+    gives the same strict-slack guarantee without orthogonalising.
     """
     # ring elements mix with integer scalars only, so the hull, its integer
     # equations and the final substitution all work on integer rows
-    system = system.integerized()
-    n = system.n_vars
-    hull = affine_hull_and_interior(system, warm_point)
-    transcript: dict = {"lp_calls": hull.lp_calls}
+    ints = system.integerized()
+    n = ints.n_vars
+    hull = affine_hull_and_interior(ints, warm_point)
     if hull.status == "empty":
-        return RingPointResult(STATUS_EMPTY, None, transcript)
+        return RationalCore(STATUS_EMPTY, ints, hull.lp_calls)
     y0 = hull.y0
-    transcript["y0"] = y0
-    transcript["implicit"] = hull.implicit
 
     # the hull's equalities are rows of the integerized system
     solver = IntegerSolver(hull.eq_rows, n) if hull.eq_rows else None
     if solver is not None:
         x0 = solver.solve(hull.eq_rhs)
         if x0 is None:
-            return RingPointResult(STATUS_NO_RING_POINT, None, transcript)
+            return RationalCore(STATUS_NO_RING_POINT, ints, hull.lp_calls,
+                                hull.implicit, y0)
     else:
         x0 = [v.__floor__() for v in y0]
-    transcript["x0"] = x0
+    core = RationalCore(STATUS_OK, ints, hull.lp_calls, hull.implicit, y0, x0,
+                        "trivial")
 
     delta_vec = [a - Fraction(b) for a, b in zip(y0, x0)]
-
-    def lift(v) -> QuadElem:
-        return ring.elem(int(v))
-
     if not any(delta_vec):
-        z0 = [lift(v) for v in x0]
-        transcript["path"] = "trivial"
-        if not system.check_point(z0):
-            raise AssertionError("ring point failed exact substitution")
-        return RingPointResult(STATUS_OK, z0, transcript)
+        return core
 
-    nonimp = [i for i in range(system.n_rows) if not hull.implicit[i]]
+    nonimp = [i for i in range(ints.n_rows) if not hull.implicit[i]]
     if nonimp:
-        delta = min(system.slack(y0, i) / (1 + row_l1(system.rows[i]))
+        delta = min(ints.slack(y0, i) / (1 + row_l1(ints.rows[i]))
                     for i in nonimp)
         if delta <= 0:
             raise AssertionError("interior point is not strictly slack")
     else:
         delta = Fraction(1)
-    transcript["delta"] = delta
+    core.delta, core.strict_rows = delta, nonimp
 
     kernel = solver.kernel_basis() if solver is not None else \
         [{j: 1} for j in range(n)]
-    small = len(kernel) <= SMALL_KERNEL_LIMIT and n <= SMALL_VARS_LIMIT
-
-    if small:
-        basis = integer_orthogonal_basis(kernel)
-        alphas = []
+    if len(kernel) <= SMALL_KERNEL_LIMIT and n <= SMALL_VARS_LIMIT:
+        basis = core.basis = integer_orthogonal_basis(kernel)
         residual = list(delta_vec)
         for q in basis:
             nq = sum(v * v for v in q.values())
             a = sum(residual[j] * v for j, v in q.items()) / nq
-            alphas.append(a)
+            core.alpha.append(a)
             if a:
                 for j, v in q.items():
                     residual[j] -= a * v
@@ -124,30 +131,39 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
             # y0 - x0 must lie in the hull direction space
             raise AssertionError("interior point drifted off the hull")
         max_norm = max(sum(v * v for v in q.values()) for q in basis)
-        eps = delta / (n * max_norm)
-        betas = [dense_element(a - eps, a + eps, ring) for a in alphas]
-        z0 = [lift(v) for v in x0]
-        for b, q in zip(betas, basis):
-            for j, v in q.items():
-                z0[j] = z0[j] + b * v
-        transcript.update(path="orthogonal", basis=basis, alpha=alphas,
-                          beta=betas, epsilon=eps)
+        core.path, core.epsilon = "orthogonal", delta / (n * max_norm)
     else:
         t = lcm(*(v.denominator for v in delta_vec))
-        dprime = [int(v * t) for v in delta_vec]
-        width = max(abs(v) for v in dprime)
-        eps = delta / (1 + width)
-        sigma = dense_element(Fraction(1, t) - eps, Fraction(1, t) + eps, ring)
-        z0 = [lift(v) for v in x0]
-        for j, v in enumerate(dprime):
-            if v:
-                z0[j] = z0[j] + sigma * v
-        transcript.update(path="scaled-delta", sigma=sigma, epsilon=eps,
-                          scale=t)
+        dprime = {j: int(v * t) for j, v in enumerate(delta_vec) if v}
+        width = max(abs(v) for v in dprime.values())
+        core.path, core.basis, core.alpha = "scaled-delta", [dprime], [Fraction(1, t)]
+        core.epsilon = delta / (1 + width)
+    return core
 
-    if not system.check_point(z0):
+
+def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
+                        warm_point: Sequence[Fraction] | None = None, *,
+                        core: RationalCore | None = None) -> RingPointResult:
+    """Feasible point with every coordinate in Z[sqrt(q)], or the reject of
+    `rational_core(system, warm_point)`; a caller lifting one system into
+    several rings computes that `core` once and passes it to each call."""
+    if core is None:
+        core = rational_core(system, warm_point)
+    # the transcript is the core's fields plus the ring's step coefficients
+    transcript = dict(vars(core))
+    if core.status != STATUS_OK:
+        return RingPointResult(core.status, None, transcript)
+    eps = core.epsilon
+    betas = transcript["beta"] = [dense_element(a - eps, a + eps, ring)
+                                  for a in core.alpha]
+    z0 = [ring.elem(v) for v in core.x0]
+    for b, d in zip(betas, core.basis):
+        for j, v in d.items():
+            z0[j] = z0[j] + b * v
+    ints = core.system
+    if not ints.check_point(z0):
         raise AssertionError("ring point failed exact substitution")
-    for i in nonimp:
-        if value_sign(system.slack(z0, i)) <= 0:
+    for i in core.strict_rows:
+        if value_sign(ints.slack(z0, i)) <= 0:
             raise AssertionError("non-implicit row not strictly slack")
     return RingPointResult(STATUS_OK, z0, transcript)

@@ -1,7 +1,8 @@
 """Relax-and-round solving: exact relaxations, rounding, and weight oracles.
 
 `solve` dispatches on the family kind.  Every kind but the periodic one reads
-embedded variable values from ring points of the basic LP, one per radicand.
+embedded variable values from ring points of the basic LP: one rational core
+per instance, lifted once per radicand.
 Only the kinds with a periodic part (periodic, threshold-periodic and
 region-periodic) solve an affine relaxation over a finite quotient and read
 residues from it; threshold, region and simplex families are rounded from
@@ -22,7 +23,8 @@ from typing import Mapping, Sequence
 
 from .families import scan_valid_arity
 from .linalg import solve_lattice_quotient_system, value_sign
-from .lp import STATUS_EMPTY, STATUS_OK, ring_feasible_point
+from .lp import (STATUS_EMPTY, STATUS_NO_RING_POINT, STATUS_OK, rational_core,
+                 ring_feasible_point)
 from .model import (
     AffineSystem,
     BasicLpLayout,
@@ -37,6 +39,8 @@ from .rings import LatticeIdeal, LatticeQuotientElem, QuadRing
 
 REJECT_EMPTY_LP = "empty relaxation polytope"
 REJECT_NO_RING_POINT = "no ring point on affine hull"
+LP_REJECTS = {STATUS_EMPTY: REJECT_EMPTY_LP,
+              STATUS_NO_RING_POINT: REJECT_NO_RING_POINT}
 REJECT_AFFINE = "affine relaxation infeasible"
 
 
@@ -88,17 +92,6 @@ def _check_domain(template: PromiseTemplate, family) -> None:
             f"{template.domain}")
 
 
-def _solve_basic_lp(template: PromiseTemplate, instance: Instance,
-                    embedding: Mapping, radicand: int
-                    ) -> tuple[str, LpTranscript | None]:
-    system, layout = build_basic_lp(template, instance, embedding)
-    warm = barycentric_warm_point(template, instance, layout, embedding)
-    res = ring_feasible_point(system, QuadRing(radicand), warm_point=warm)
-    if res.status != STATUS_OK:
-        return res.status, None
-    return STATUS_OK, LpTranscript(layout, res.point)
-
-
 def _solve_affine(template: PromiseTemplate, instance: Instance,
                   lattice: LatticeIdeal, embedding: Mapping
                   ) -> AffineTranscript | None:
@@ -110,11 +103,6 @@ def _solve_affine(template: PromiseTemplate, instance: Instance,
     return AffineTranscript(aff, sol)
 
 
-def _lp_reject(status: str) -> SolveResult:
-    reason = REJECT_EMPTY_LP if status == STATUS_EMPTY else REJECT_NO_RING_POINT
-    return SolveResult(False, reason=reason)
-
-
 # the 0/1 domain of threshold and region families, embedded as itself
 _SCALAR = {0: (Fraction(0),), 1: (Fraction(1),)}
 
@@ -123,8 +111,8 @@ _SCALAR = {0: (Fraction(0),), 1: (Fraction(1),)}
 class RelaxationPlan:
     """The relaxations a family kind is rounded from.
 
-    One ring LP per radicand, all over `lp_embedding` (none when
-    `radicands` is empty), then at most one affine relaxation over
+    One basic LP over `lp_embedding`, lifted into the ring of each radicand
+    (none when `radicands` is empty), then at most one affine relaxation over
     `lattice` (none when it is None).
     """
 
@@ -201,11 +189,17 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
     _check_domain(template, family)
     plan = relaxation_plan(family)
     lps: list[LpTranscript] = []
-    for q in plan.radicands:
-        status, lp = _solve_basic_lp(template, instance, plan.lp_embedding, q)
-        if lp is None:
-            return _lp_reject(status)
-        lps.append(lp)
+    if plan.radicands:
+        # the verdict, hull and integer point do not depend on the ring
+        system, layout = build_basic_lp(template, instance, plan.lp_embedding)
+        warm = barycentric_warm_point(template, instance, layout,
+                                      plan.lp_embedding)
+        core = rational_core(system, warm)
+        for q in plan.radicands:
+            res = ring_feasible_point(system, QuadRing(q), core=core)
+            if res.status != STATUS_OK:
+                return SolveResult(False, reason=LP_REJECTS[res.status])
+            lps.append(LpTranscript(layout, res.point))
     aff = None
     if plan.lattice is not None:
         aff = _solve_affine(template, instance, plan.lattice,

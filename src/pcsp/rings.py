@@ -458,7 +458,8 @@ def balanced_sum(items: Sequence, zero):
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
+@lru_cache(maxsize=None)
+def squarefree_split(n: int) -> tuple[int, int]:
     """n = s * k^2 with s squarefree; returns (s, k).  n >= 1."""
     s, k = 1, 1
     d = 2
@@ -475,15 +476,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         d += 1
     s *= m
     return s, k
-
-
-_SQF_CACHE: dict[int, tuple[int, int]] = {}
-
-
-def squarefree_split(n: int) -> tuple[int, int]:
-    if n not in _SQF_CACHE:
-        _SQF_CACHE[n] = _squarefree_split(n)
-    return _SQF_CACHE[n]
 
 
 class SqrtExpr:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import product
 
 import pytest
 
 from pcsp import corpus, jsonio
 from pcsp.cli import main
+from pcsp.families import RegionPeriodicFamily
+from pcsp.model import PromiseTemplate, Relation, plant_satisfiable_instance
 from pcsp.pipeline import solve
+from pcsp.rings import LatticeIdeal
 
 
 def run(capsys, *argv):
@@ -228,3 +233,34 @@ def test_solve_periodic_and_simplex_paths(tmp_path, capsys):
 def test_gen_rejects_bad_sizes(capsys):
     code, _, err = run(capsys, "gen", "twosat", "--n", "0", "--m", "2")
     assert code == 2 and "n >= 1" in err
+
+
+def test_internal_error_exits_three(tmp_path, capsys):
+    # the region-periodic reproduction of
+    # test_pipeline::test_solve_refuses_an_assignment_off_the_weak_side:
+    # solve raises RoundingCheckError, which is neither a reject (exit 1)
+    # nor malformed input (exit 2)
+    malt = corpus.entry("one-in-three-malt").family
+    eta0 = {(0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}
+    fam = RegionPeriodicFamily(
+        malt.partition, malt.radicands,
+        {0: (LatticeIdeal([(2, 0), (0, 2)]), eta0),
+         1: (LatticeIdeal([(1, 0), (0, 1)]), {(0, 0): "e"})})
+    outs = fam.outputs()
+    strong = frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+    weak = frozenset(t for t in product(outs, repeat=3) if "d" not in t)
+    tpl = PromiseTemplate((0, 1), outs, {0: "a", 1: "e"},
+                          (Relation("1in3", 3, strong, weak),))
+    inst, _ = plant_satisfiable_instance(tpl, 8, 6, random.Random(2))
+    paths = []
+    for name, doc in (("t", jsonio.template_to_json(tpl)),
+                      ("f", jsonio.family_to_json(fam)),
+                      ("i", jsonio.instance_to_json(inst, tpl))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(jsonio.dumps(doc))
+        paths.append(str(path))
+    code, out, err = run(capsys, "solve", *paths)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and "clause 0" in err
+    assert len(err.splitlines()) == 1

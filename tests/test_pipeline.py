@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import random
 from collections import Counter
@@ -21,11 +22,14 @@ from pcsp.families import (
     RegionPeriodicFamily,
     ThresholdFamily,
 )
+from pcsp.lp import rational_core, ring_feasible_point
 from pcsp.model import (
     Clause,
     Instance,
     PromiseTemplate,
     Relation,
+    barycentric_warm_point,
+    build_basic_lp,
     check_polymorphism,
     plant_satisfiable_instance,
     verify_assignment,
@@ -40,7 +44,7 @@ from pcsp.pipeline import (
     solve,
     weighted_apply_oracle,
 )
-from pcsp.rings import LatticeIdeal, QuadElem
+from pcsp.rings import LatticeIdeal, QuadElem, QuadRing
 
 
 @lru_cache(maxsize=None)
@@ -409,3 +413,66 @@ def test_region_periodic_spread_clash_rejected():
     res = solve(tpl, inst, fam)
     assert not res.accepted
     assert res.reason == REJECT_NO_RING_POINT
+
+
+# -- one rational core per instance, one lift per radicand ---------------------
+
+
+def _fresh_basic_lp(tpl, inst, fam):
+    embedding = pipeline.relaxation_plan(fam).lp_embedding
+    system, layout = build_basic_lp(tpl, inst, embedding)
+    return system, barycentric_warm_point(tpl, inst, layout, embedding)
+
+
+@pytest.mark.parametrize("n_vars,n_clauses,seed",
+                         [(12, 10, 1), (12, 10, 2), (25, 30, 1), (25, 30, 2)])
+def test_shared_core_points_match_one_shot_lifts(n_vars, n_clauses, seed):
+    e = entry("one-in-three-malt")
+    inst, _ = plant_satisfiable_instance(e.template, n_vars, n_clauses,
+                                         random.Random(seed))
+    res = solve(e.template, inst, e.family)
+    assert res.accepted
+    assert len(res.lp) == len(e.family.radicands) == 2
+    for lp, q in zip(res.lp, e.family.radicands):
+        system, warm = _fresh_basic_lp(e.template, inst, e.family)
+        one_shot = ring_feasible_point(system, QuadRing(q), warm_point=warm)
+        assert [(c.a, c.b, c.q) for c in lp.point] == \
+            [(c.a, c.b, c.q) for c in one_shot.point]
+
+
+def test_two_radicand_reject_is_decided_once(monkeypatch):
+    # an odd disequality cycle pins every hull point to 1/2, so no radicand
+    # has a ring point; the one core says so and the first lift reports it
+    malt = entry("one-in-three-malt").family
+    tpl = entry("twosat").template
+    neq = tpl.relation_index("neq")
+    cyc = Instance(3, tuple(Clause(neq, (i, (i + 1) % 3)) for i in range(3)))
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rational_core", "ring_feasible_point", "build_basic_lp"):
+        monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
+    res = solve(tpl, cyc, malt)
+    assert not res.accepted
+    assert res.reason == REJECT_NO_RING_POINT
+    assert calls == {"rational_core": 1, "ring_feasible_point": 1,
+                     "build_basic_lp": 1}
+
+
+def test_lifting_a_core_into_two_rings_leaves_it_unchanged():
+    e = entry("one-in-three-malt")
+    inst, _ = plant_satisfiable_instance(e.template, 12, 10, random.Random(1))
+    system, warm = _fresh_basic_lp(e.template, inst, e.family)
+    core = rational_core(system, warm)
+    before = copy.deepcopy(core)
+    points = [ring_feasible_point(system, QuadRing(q), core=core).point
+              for q in e.family.radicands]
+    assert core == before
+    assert [c.q for c in points[0]] != [c.q for c in points[1]]
+    for point in points:
+        assert system.check_point(point)
