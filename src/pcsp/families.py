@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, lcm, prod
 from typing import Mapping, Sequence
@@ -67,21 +68,55 @@ def eval_poly(poly: Poly, point: Sequence) -> SqrtExpr:
     return total
 
 
+def _integer_form(poly: Poly) -> tuple:
+    """(c*S, exps, D - |exps|) per monomial: S the lcm of the coefficient
+    denominators, D the total degree.  At x = k/d this sums to
+    p(x) * S * d^D, a positive multiple of p(x)."""
+    scale = lcm(*(c.denominator for c, _ in poly))
+    degree = max((sum(e) for _, e in poly), default=0)
+    return tuple((c.numerator * (scale // c.denominator), e, degree - sum(e))
+                 for c, e in poly)
+
+
+def _grid_sign(form: tuple, nums: Sequence[int], d: int) -> int:
+    """Sign of the polynomial at the rational point nums / d."""
+    v = sum(c * d ** r * prod(map(pow, nums, e)) for c, e, r in form)
+    return (v > 0) - (v < 0)
+
+
+def _cell_decision(signs) -> bool | None:
+    boundary = False
+    for s in signs:
+        if s < 0:
+            return False
+        if s == 0:
+            boundary = True
+    return None if boundary else True
+
+
 @dataclass(frozen=True)
 class Cell:
     label: object
     polys: tuple            # every polynomial must be strictly positive
 
+    @cached_property
+    def _forms(self) -> tuple:
+        return tuple(_integer_form(p) for p in self.polys)
+
     def matches(self, point: Sequence) -> bool | None:
-        """True/False for strict membership, None when a boundary is hit."""
-        boundary = False
-        for p in self.polys:
-            s = eval_poly(p, point).sign()
-            if s < 0:
-                return False
-            if s == 0:
-                boundary = True
-        return None if boundary else True
+        """True/False for strict membership, None when a boundary is hit.
+
+        A rational point is decided with integers; a point with a ring
+        coordinate through `eval_poly`."""
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            d = lcm(*(x.denominator for x in point))
+            return self._matches_grid(
+                [x.numerator * (d // x.denominator) for x in point], d)
+        return _cell_decision(eval_poly(p, point).sign() for p in self.polys)
+
+    def _matches_grid(self, nums: Sequence[int], d: int) -> bool | None:
+        """`matches` at the point nums / d, for d > 0."""
+        return _cell_decision(_grid_sign(f, nums, d) for f in self._forms)
 
 
 # random interior points each partition is checked on at construction
@@ -94,8 +129,9 @@ class PartitionSpec:
 
     Cells are open sets cut out by strict polynomial inequalities; together
     with the corner table they must classify every point the family ever
-    evaluates.  Construction samples random interior points and rejects
-    overlapping or non-covering cell systems.
+    evaluates.  Construction samples 10,000 random interior points of the
+    1/97 grid, deciding each polynomial's sign exactly in integers, and
+    rejects overlapping or non-covering cell systems.
     """
 
     dim: int
@@ -120,22 +156,21 @@ class PartitionSpec:
         rng = random.Random(987_654_321)
         den = 97
         for _ in range(_SAMPLE_CHECKS):
-            pt = tuple(Fraction(rng.randrange(1, den), den)
-                       for _ in range(self.dim))
+            nums = [rng.randrange(1, den) for _ in range(self.dim)]
             hits = []
             boundary = False
             for cell in self.cells:
-                m = cell.matches(pt)
+                m = cell._matches_grid(nums, den)
                 if m is None:
                     boundary = True
                 elif m:
                     hits.append(cell.label)
-            if boundary:
+            if boundary or len(hits) == 1:
                 continue
-            if len(hits) > 1:
+            pt = tuple(Fraction(k, den) for k in nums)
+            if hits:
                 raise ValueError(f"cells {hits} overlap at {pt}")
-            if not hits:
-                raise ValueError(f"no cell covers interior point {pt}")
+            raise ValueError(f"no cell covers interior point {pt}")
 
     def _validate_corners(self):
         for key, label in self.corners.items():

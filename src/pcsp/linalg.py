@@ -59,7 +59,9 @@ def sparse_dot(row: Mapping[int, Coef], point: Sequence):
 
 def _cleared_row(row: Mapping[int, Coef], b: Coef) -> tuple[dict[int, int], int]:
     """(row, b) times the lcm of their denominators: integer data, and the
-    positive scale keeps every slack's sign."""
+    positive scale keeps every slack's sign.  Integer data is copied as is."""
+    if isinstance(b, int) and all(isinstance(c, int) for c in row.values()):
+        return dict(row), b
     scale = lcm(Fraction(b).denominator,
                 *(Fraction(c).denominator for c in row.values()))
     return ({j: int(Fraction(c) * scale) for j, c in row.items()},

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pcsp.corpus import ENTRIES, entry, names
@@ -132,3 +137,32 @@ def test_smallest_valid_arities():
     assert got == {"didactic": 1, "twosat": 1, "two-plus-eps-sat": 1,
                    "threshold-conds": 1, "mod7-sandwich": 1,
                    "one-in-three-malt": 2, "rainbow": 1}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a child interpreter that counts SqrtExpr constructions during the import
+_COUNT_SQRT_EXPRS = """
+from pcsp.rings import SqrtExpr
+calls = 0
+init = SqrtExpr.__init__
+def counted(self, *args, **kwargs):
+    global calls
+    calls += 1
+    init(self, *args, **kwargs)
+SqrtExpr.__init__ = counted
+import pcsp.corpus
+print(calls)
+"""
+
+
+def test_import_checks_partitions_without_the_ring_type():
+    # the partition self-check samples rational points only, so it needs
+    # no element of Q(sqrt(d1), sqrt(d2), ...)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    child = subprocess.run([sys.executable, "-c", _COUNT_SQRT_EXPRS], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.stderr == ""
+    assert child.stdout == "0\n"

@@ -285,6 +285,107 @@ def test_eval_poly_mixed_product():
     assert (got - SqrtExpr({6: Fraction(1)})).is_zero()
 
 
+def _eval_decision(polys, point):
+    """Cell membership decided through `eval_poly`, the ring-point path."""
+    signs = [eval_poly(p, point).sign() for p in polys]
+    if any(s < 0 for s in signs):
+        return False
+    return None if 0 in signs else True
+
+
+def _random_poly(rng, dim):
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        exps = [0] * dim
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(dim)] += 1
+        terms.append((Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                      tuple(exps)))
+    return tuple(terms)
+
+
+def _random_point(rng, dim):
+    kind = rng.randrange(3)
+    if kind == 0:      # mixed denominators, ints among them
+        return tuple(rng.choice((rng.randint(-3, 3),
+                                 Fraction(rng.randint(-30, 30), rng.randint(1, 15))))
+                     for _ in range(dim))
+    if kind == 1:      # the sampler's grid
+        return tuple(Fraction(rng.randrange(1, 97), 97) for _ in range(dim))
+    return tuple(Fraction(rng.randint(0, 40), rng.randint(1, 40))
+                 for _ in range(dim))
+
+
+def _through(poly, point):
+    """`poly` shifted by a constant so that it vanishes at `point`."""
+    value = eval_poly(poly, point).terms.get(1, Fraction(0))
+    return poly + ((-value, (0,) * len(point)),)
+
+
+def test_rational_sign_matches_eval_poly():
+    rng = random.Random(20_240_517)
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(1500):
+        dim = rng.randint(1, 3)
+        polys = [_random_poly(rng, dim) for _ in range(rng.randint(1, 3))]
+        pt = _random_point(rng, dim)
+        if rng.random() < 0.3:
+            polys[0] = _through(polys[0], pt)
+        for p in polys:
+            got = Cell(0, (p,)).matches(pt)
+            assert got == _eval_decision((p,), pt), (p, pt)
+            seen[got] += 1
+        assert Cell(0, tuple(polys)).matches(pt) == _eval_decision(polys, pt)
+    assert min(seen.values()) > 100
+
+
+@pytest.mark.parametrize("poly, value", [
+    ((), None),                                          # empty: p = 0
+    (((Fraction(2, 3), (0, 0)),), True),
+    (((Fraction(-1, 7), (0, 0)),), False),
+    (((Fraction(0), (1, 1)),), None),
+])
+def test_rational_sign_of_empty_and_constant_polys(poly, value):
+    for pt in ((Fraction(1, 3), Fraction(5, 7)), (0, 1), (Fraction(3, 2), 2)):
+        assert Cell(0, (poly,)).matches(pt) == value == _eval_decision((poly,), pt)
+
+
+def test_rational_sign_on_zero_sets():
+    x_minus_y = ((Fraction(1), (1, 0)), (Fraction(-1), (0, 1)))
+    for pt in ((Fraction(1, 3), Fraction(2, 6)), (Fraction(5, 97), Fraction(5, 97)),
+               (2, Fraction(4, 2))):
+        assert Cell(0, (x_minus_y,)).matches(pt) is None
+    # (x-1/2)^2 + (y-1/2)^2 - 1/13, vanishing at 1/2 + (a, b)/13, a^2 + b^2 = 13
+    circle = ((Fraction(1), (2, 0)), (Fraction(-1), (1, 0)),
+              (Fraction(1), (0, 2)), (Fraction(-1), (0, 1)),
+              (Fraction(1, 2) - Fraction(1, 13), (0, 0)))
+    half = Fraction(1, 2)
+    for a, b in ((2, 3), (3, 2), (-2, 3), (3, -2), (-3, -2)):
+        pt = (half + Fraction(a, 13), half + Fraction(b, 13))
+        assert eval_poly(circle, pt).is_zero()
+        assert Cell(0, (circle,)).matches(pt) is None
+        nudged = (pt[0] + Fraction(1, 10 ** 9), pt[1])
+        assert Cell(0, (circle,)).matches(nudged) == _eval_decision((circle,), nudged)
+
+
+def test_sampler_grid_decisions_match_eval_poly():
+    """The first samples of the construction check, decided both ways."""
+    x_lt_y = ((Fraction(1), (0, 1)), (Fraction(-1), (1, 0)))
+    circle = ((Fraction(1, 13), (0, 0)), (Fraction(-1), (2, 0)), (Fraction(1), (1, 0)),
+              (Fraction(-1), (0, 2)), (Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0)))
+    for spec in (malt_partition(), rainbow_partition(),
+                 PartitionSpec(2, (Cell(0, (x_lt_y, circle)),
+                                   Cell(1, (tuple((-c, e) for c, e in x_lt_y),)),
+                                   Cell(2, (x_lt_y, tuple((-c, e) for c, e in circle)))))):
+        rng = random.Random(987_654_321)
+        for _ in range(300):
+            nums = [rng.randrange(1, 97) for _ in range(spec.dim)]
+            pt = tuple(Fraction(k, 97) for k in nums)
+            for cell in spec.cells:
+                want = _eval_decision(cell.polys, pt)
+                assert cell._matches_grid(nums, 97) == want == cell.matches(pt)
+
+
 # ---------------------------------------------------------------------------
 # region families
 # ---------------------------------------------------------------------------

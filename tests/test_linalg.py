@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcsp import corpus
 from pcsp.inthnf import hnf_from_sparse_rows, solve_hnf
 from pcsp.linalg import (
     InequalitySystem,
@@ -18,6 +19,8 @@ from pcsp.linalg import (
     solve_lattice_quotient_system,
     sparse_dot,
 )
+from pcsp.model import build_basic_lp, plant_satisfiable_instance
+from pcsp.pipeline import relaxation_plan
 from pcsp.rings import LatticeIdeal, QuadRing, dense_element
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
@@ -279,6 +282,21 @@ def test_integer_orthogonal_basis():
                     for t in range(n)]
             sol = solve_field_system(cols, dense_b, len(vecs))
             assert sol is not None
+
+
+def test_integerized_copies_integer_rows():
+    e = corpus.entry("didactic")
+    inst, _ = plant_satisfiable_instance(e.template, 12, 10, random.Random(1))
+    system, _ = build_basic_lp(e.template, inst,
+                               relaxation_plan(e.family).lp_embedding)
+    assert all(isinstance(c, int) for row in system.rows for c in row.values())
+    ints = system.integerized()
+    assert ints.rows == system.rows and ints.rhs == system.rhs
+    assert ints.eq_pairs == system.eq_pairs
+    before = [dict(row) for row in system.rows]
+    for row in ints.rows:
+        row[0] = row.get(0, 0) + 1
+    assert system.rows == before
 
 
 # -- affine hull -----------------------------------------------------------------------
