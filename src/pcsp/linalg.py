@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Mapping, Sequence
 
 from .inthnf import HnfResult, hnf_from_sparse_rows, solve_hnf
@@ -327,50 +327,6 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
     if sol is None:
         return None
     return [lattice.element(tuple(sol[j * b:j * b + b])) for j in range(n_vars)]
-
-
-# ---------------------------------------------------------------------------
-# Integer orthogonalisation (fraction-free Gram-Schmidt)
-# ---------------------------------------------------------------------------
-
-
-def _sdot(a: Mapping[int, int], b: Mapping[int, int]) -> int:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b[j] for j, v in a.items() if j in b)
-
-
-def _strip_gcd(v: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for c in v.values():
-        g = gcd(g, c)
-    if g > 1:
-        return {j: c // g for j, c in v.items()}
-    return v
-
-
-def integer_orthogonal_basis(vectors: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
-    """Pairwise-orthogonal integer vectors spanning the same Q-subspace.
-
-    Fraction-free Gram-Schmidt: w <- (q.q) w - (w.q) q for each previous q,
-    with a gcd strip after every step to tame entry growth.  Dependent input
-    vectors vanish and are dropped.
-    """
-    basis: list[dict[int, int]] = []
-    norms: list[int] = []
-    for vec in vectors:
-        w = {j: int(c) for j, c in vec.items() if c}
-        for q, nq in zip(basis, norms):
-            d = _sdot(w, q)
-            if d:
-                w = {j: nq * w.get(j, 0) - d * q.get(j, 0)
-                     for j in set(w) | set(q)}
-                w = {j: c for j, c in w.items() if c}
-                w = _strip_gcd(w)
-        if w:
-            basis.append(w)
-            norms.append(_sdot(w, w))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ hull with no ring point, or admits a feasible point all of whose coordinates
 lie in Z[sqrt(q)].  The construction: take a rational relative-interior
 point y0, a ring point x0 on the hull, and move from x0 toward y0 along the
 hull direction with ring-valued steps small enough to keep every
-non-implicit inequality strictly slack.  Everything is verified by exact
-substitution before returning.
+non-implicit inequality strictly slack.  The hull's dimension picks the
+steps: a full-dimensional hull steps along each coordinate, any other along
+the single direction y0 - x0.  Everything is verified by exact substitution
+before returning.
 
 For rational systems a ring point exists on the hull iff an integer point
 does: writing x = y + z sqrt(q) with integer vectors y, z, the system
@@ -26,7 +28,6 @@ from .linalg import (
     InequalitySystem,
     IntegerSolver,
     affine_hull_and_interior,
-    integer_orthogonal_basis,
     row_l1,
     value_sign,
 )
@@ -35,11 +36,6 @@ from .rings import QuadElem, QuadRing, dense_element
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
 STATUS_NO_RING_POINT = "no-ring-point-on-hull"
-
-# hulls with at most this many kernel directions and variables take the
-# orthogonal-basis lift; larger ones take the scaled-delta lift
-SMALL_KERNEL_LIMIT = 24
-SMALL_VARS_LIMIT = 96
 
 
 @dataclass
@@ -74,11 +70,14 @@ def rational_core(system: InequalitySystem,
     """Status, hull, integer point and lift steps of `system`, for any ring.
 
     Statuses: 'ok', 'empty' (no rational point), and 'no-ring-point-on-hull'
-    (feasible rationally, but the affine hull misses the ring).  Small
-    systems step along an orthogonal kernel basis, one ring coefficient per
-    vector, which keeps point coefficients short; larger ones scale the
-    single integer direction T (y0 - x0) by one ring element near 1/T, which
-    gives the same strict-slack guarantee without orthogonalising.
+    (feasible rationally, but the affine hull misses the ring).
+
+    A full-dimensional hull, one with no nonzero equality row, takes
+    x0 = floor(y0) and steps along each unit vector where y0 and x0 differ,
+    by a ring element near y0_j - x0_j (path 'orthogonal').  Any other hull
+    takes x0 from its integer equations; a unit vector would leave the hull,
+    so it scales the single integer direction T (y0 - x0) by one ring element
+    near 1/T (path 'scaled-delta').
     """
     # ring elements mix with integer scalars only, so the hull, its integer
     # equations and the final substitution all work on integer rows
@@ -89,15 +88,16 @@ def rational_core(system: InequalitySystem,
         return RationalCore(STATUS_EMPTY, ints, hull.lp_calls)
     y0 = hull.y0
 
-    # the hull's equalities are rows of the integerized system
-    solver = IntegerSolver(hull.eq_rows, n) if hull.eq_rows else None
-    if solver is not None:
-        x0 = solver.solve(hull.eq_rhs)
+    # the hull's equalities are rows of the integerized system; with no
+    # nonzero one the hull is full-dimensional and every integer point is on it
+    full_dim = not any(c for row in hull.eq_rows for c in row.values())
+    if full_dim:
+        x0 = [v.__floor__() for v in y0]
+    else:
+        x0 = IntegerSolver(hull.eq_rows, n).solve(hull.eq_rhs)
         if x0 is None:
             return RationalCore(STATUS_NO_RING_POINT, ints, hull.lp_calls,
                                 hull.implicit, y0)
-    else:
-        x0 = [v.__floor__() for v in y0]
     core = RationalCore(STATUS_OK, ints, hull.lp_calls, hull.implicit, y0, x0,
                         "trivial")
 
@@ -115,23 +115,10 @@ def rational_core(system: InequalitySystem,
         delta = Fraction(1)
     core.delta, core.strict_rows = delta, nonimp
 
-    kernel = solver.kernel_basis() if solver is not None else \
-        [{j: 1} for j in range(n)]
-    if len(kernel) <= SMALL_KERNEL_LIMIT and n <= SMALL_VARS_LIMIT:
-        basis = core.basis = integer_orthogonal_basis(kernel)
-        residual = list(delta_vec)
-        for q in basis:
-            nq = sum(v * v for v in q.values())
-            a = sum(residual[j] * v for j, v in q.items()) / nq
-            core.alpha.append(a)
-            if a:
-                for j, v in q.items():
-                    residual[j] -= a * v
-        if any(residual):
-            # y0 - x0 must lie in the hull direction space
-            raise AssertionError("interior point drifted off the hull")
-        max_norm = max(sum(v * v for v in q.values()) for q in basis)
-        core.path, core.epsilon = "orthogonal", delta / (n * max_norm)
+    if full_dim:
+        core.path, core.epsilon = "orthogonal", delta / n
+        core.basis = [{j: 1} for j, v in enumerate(delta_vec) if v]
+        core.alpha = [v for v in delta_vec if v]
     else:
         t = lcm(*(v.denominator for v in delta_vec))
         dprime = {j: int(v * t) for j, v in enumerate(delta_vec) if v}

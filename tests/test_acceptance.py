@@ -90,6 +90,8 @@ def test_criterion_2_ring_lp_planted():
         for c in res.point:
             assert c != half
             assert c != third
+            assert max(abs(c.a).bit_length(), abs(c.b).bit_length()) <= 32, \
+                f"seed {seed}: {c} is longer than 32 bits"
     forced = InequalitySystem(1)
     forced.add_eq({0: 2}, 1)               # x = 1/2 on the whole hull
     res = ring_feasible_point(forced, ring)

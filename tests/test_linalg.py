@@ -14,7 +14,6 @@ from pcsp.linalg import (
     IntegerSolver,
     _solve_mod_p,
     affine_hull_and_interior,
-    integer_orthogonal_basis,
     solve_integer_system,
     solve_lattice_quotient_system,
     sparse_dot,
@@ -247,41 +246,6 @@ def test_lattice_solve_large_prime_has_zero_residual(p):
         residual = [(sum(c * got[j].vector[0] for j, c in r.items())
                      - b.vector[0]) % p for r, b in zip(rows, rhs)]
         assert residual == [0, 0]
-
-
-# -- orthogonalisation ---------------------------------------------------------------
-
-
-def test_integer_orthogonal_basis():
-    rng = random.Random(39)
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        k = rng.randint(1, n)
-        vecs = rand_sparse_rows(rng, k, n, lo=-4, hi=4, density=0.7)
-        vecs = [v for v in vecs if v]
-        basis = integer_orthogonal_basis(vecs)
-        # pairwise orthogonal integer vectors
-        for a in basis:
-            assert all(isinstance(c, int) for c in a.values())
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                ai = [basis[i].get(t, 0) for t in range(n)]
-                assert sparse_dot(basis[j], ai) == 0
-        # same rank as the input span
-        def rank_of(rows):
-            rows = [{i: v for i, v in r.items()} for r in rows if r]
-            if not rows:
-                return 0
-            return IntegerSolver(rows, n).result.rank
-        assert rank_of([{j: v for j, v in b.items()} for b in basis]) == rank_of(
-            [{j: v for j, v in v_.items()} for v_ in vecs])
-        # every basis vector solves in the rational row space of the inputs
-        for b in basis:
-            dense_b = [Fraction(b.get(t, 0)) for t in range(n)]
-            cols = [{i: v.get(t, 0) for i, v in enumerate(vecs) if v.get(t, 0)}
-                    for t in range(n)]
-            sol = solve_field_system(cols, dense_b, len(vecs))
-            assert sol is not None
 
 
 def test_integerized_copies_integer_rows():

@@ -12,6 +12,7 @@ from pcsp.lp import (
     STATUS_EMPTY,
     STATUS_NO_RING_POINT,
     STATUS_OK,
+    rational_core,
     ring_feasible_point,
 )
 from pcsp.rings import QuadElem, QuadRing
@@ -101,7 +102,6 @@ def test_warm_point_short_circuit():
 
 
 def test_large_path_matches_guarantees():
-    # 40 variables forces the scaled-delta construction
     ring = QuadRing(2)
     n = 40
     sys = InequalitySystem(n)
@@ -111,27 +111,72 @@ def test_large_path_matches_guarantees():
     sys.add_le({0: -2}, 0)                 # x >= 0
     res = ring_feasible_point(sys, ring)
     assert_valid_ring_point(sys, res, ring)
-    assert res.transcript["path"] in ("scaled-delta", "orthogonal")
+    assert res.transcript["path"] == "scaled-delta"
     v = res.point[0]
     assert all(w == v for w in res.point)
     assert QuadElem(0, 0, 2) < v < Fraction(1, 2)
 
 
-def test_small_path_transcript_fields():
-    ring = QuadRing(2)
-    sys = InequalitySystem(2)
-    sys.add_eq({0: 1, 1: 1}, 1)
-    sys.add_le({0: -1}, 0)
-    sys.add_le({1: -1}, 0)
-    res = ring_feasible_point(sys, ring)
-    tr = res.transcript
-    assert tr["path"] == "orthogonal"
+def _assert_steps_within_epsilon(tr):
     assert len(tr["alpha"]) == len(tr["beta"]) == len(tr["basis"])
     assert tr["epsilon"] > 0
     for a, b in zip(tr["alpha"], tr["beta"]):
         # each beta is a ring element within epsilon of its alpha
         lo, hi = a - tr["epsilon"], a + tr["epsilon"]
         assert lo < b and b < hi
+
+
+def test_full_dimensional_hull_steps_per_coordinate():
+    # 0 <= x <= 1/2 and 1 <= y <= 5/2: no equality, so one unit step for
+    # each coordinate where y0 is not an integer
+    ring = QuadRing(2)
+    sys = InequalitySystem(2)
+    sys.add_le({0: 2}, 1)
+    sys.add_le({0: -1}, 0)
+    sys.add_le({1: 2}, 5)
+    sys.add_le({1: -1}, -1)
+    res = ring_feasible_point(sys, ring)
+    assert_valid_ring_point(sys, res, ring)
+    tr = res.transcript
+    assert tr["path"] == "orthogonal"
+    assert tr["x0"] == [y.__floor__() for y in tr["y0"]]
+    moved = [j for j in range(2) if tr["y0"][j] != tr["x0"][j]]
+    assert tr["basis"] == [{j: 1} for j in moved]
+    assert tr["alpha"] == [tr["y0"][j] - tr["x0"][j] for j in moved]
+    assert tr["epsilon"] == tr["delta"] / 2
+    _assert_steps_within_epsilon(tr)
+
+
+def test_equality_hull_steps_along_one_direction():
+    ring = QuadRing(2)
+    sys = InequalitySystem(2)
+    sys.add_eq({0: 1, 1: 1}, 1)
+    sys.add_le({0: -1}, 0)
+    sys.add_le({1: -1}, 0)
+    res = ring_feasible_point(sys, ring)
+    assert_valid_ring_point(sys, res, ring)
+    tr = res.transcript
+    assert tr["path"] == "scaled-delta"
+    assert len(tr["basis"]) == 1
+    _assert_steps_within_epsilon(tr)
+
+
+def test_zero_row_leaves_the_hull_full_dimensional():
+    # 0 <= 0 is tight everywhere, so the hull marks it implicit; it is no
+    # equation, so x0 is still floor(y0) and the steps stay per coordinate
+    sys = InequalitySystem(2)
+    sys.add_le({0: 2}, 3)
+    sys.add_le({0: -1}, -1)
+    sys.add_le({1: 2}, 7)
+    sys.add_le({1: -1}, -2)
+    zero = sys.add_le({}, 0)
+    core = rational_core(sys)
+    assert core.status == STATUS_OK
+    assert core.implicit[zero]
+    assert core.x0 == [y.__floor__() for y in core.y0]
+    assert core.path == "orthogonal"
+    assert_valid_ring_point(sys, ring_feasible_point(sys, QuadRing(2),
+                                                     core=core), QuadRing(2))
 
 
 def test_random_planted_polytopes():

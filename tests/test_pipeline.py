@@ -476,3 +476,36 @@ def test_lifting_a_core_into_two_rings_leaves_it_unchanged():
     assert [c.q for c in points[0]] != [c.q for c in points[1]]
     for point in points:
         assert system.check_point(point)
+
+
+@pytest.mark.parametrize("name,n_vars,n_clauses,seed,bits",
+                         [("one-in-three-malt", 12, 10, 1, 11),
+                          ("one-in-three-malt", 12, 10, 2, 13),
+                          ("twosat", 6, 4, 1, 7),
+                          ("twosat", 6, 4, 2, 2)])
+def test_small_relaxations_get_short_ring_points(name, n_vars, n_clauses,
+                                                 seed, bits):
+    # every relaxation has equalities, so its hull takes the scaled-delta
+    # lift at any size
+    _, _, res = solved(name, seed, n_vars, n_clauses)
+    assert res.accepted
+    got = max(max(abs(c.a).bit_length(), abs(c.b).bit_length())
+              for lp in res.lp for c in lp.point)
+    assert got <= bits
+
+
+@pytest.mark.parametrize("name,n_vars,n_clauses,seed",
+                         [("twosat", 6, 4, 2), ("one-in-three-malt", 12, 10, 1)])
+def test_replay_takes_one_member_lookup_per_clause(name, n_vars, n_clauses,
+                                                   seed, monkeypatch):
+    e, inst, res = solved(name, seed, n_vars, n_clauses)
+    lookups = []
+
+    def counting(family, minimum):
+        lookups.append(minimum)
+        return _cached_valid_member(family, minimum)
+
+    monkeypatch.setattr(pipeline, "_cached_valid_member", counting)
+    for j in range(len(inst.clauses)):
+        weighted_apply_oracle(e.template, inst, e.family, res, j)
+    assert len(lookups) == len(inst.clauses)
