@@ -27,17 +27,35 @@ class LpResult:
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+    """Pivot on (row, col); other rows change only at the pivot row's
+    nonzero columns, since a zero there subtracts nothing."""
     prow = tab[row]
+    inv = ONE / prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] *= inv
     for i, r in enumerate(tab):
         if i == row:
             continue
         f = r[col]
         if f:
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
+            for j in nz:
+                r[j] -= f * prow[j]
     basis[row] = col
+
+
+def _reduced_costs(tab: list[list[Fraction]], basis: list[int],
+                   cost: list[Fraction]) -> list[Fraction]:
+    """The objective row of `cost` over the basis: cost minus c_B times each
+    basic row, with minus the basic cost value in the rhs column."""
+    objrow = list(cost) + [ZERO]
+    for i, j in enumerate(basis):
+        cb = cost[j]
+        if cb:
+            for k, v in enumerate(tab[i]):
+                if v:
+                    objrow[k] -= cb * v
+    return objrow
 
 
 def _bland_min(tab: list[list[Fraction]], basis: list[int], scan_cols: int,
@@ -118,14 +136,7 @@ def solve_inequality_lp(rows: Sequence[Mapping[int, int | Fraction]],
     cost1 = [ZERO] * n_cols
     for k in range(n_art):
         cost1[base_cols + k] = ONE
-    objrow = list(cost1)
-    rhs_acc = ZERO
-    for i in range(m):
-        cb = cost1[basis[i]]
-        if cb:
-            objrow = [a - cb * b for a, b in zip(objrow, tab[i][:n_cols])]
-            rhs_acc -= cb * tab[i][n_cols]
-    tab.append(objrow + [rhs_acc])
+    tab.append(_reduced_costs(tab, basis, cost1))
     status = _bland_min(tab, basis, n_cols, n_cols)
     if status != OPTIMAL:
         raise AssertionError("phase-I objective is bounded below by 0")
@@ -160,14 +171,7 @@ def solve_inequality_lp(rows: Sequence[Mapping[int, int | Fraction]],
         c = Fraction(sense * c)
         cost2[j] = c
         cost2[n_vars + j] = -c
-    objrow = list(cost2)
-    rhs_acc = ZERO
-    for i in range(m):
-        cb = cost2[basis[i]]
-        if cb:
-            objrow = [a - cb * b for a, b in zip(objrow, tab[i][:n_cols])]
-            rhs_acc -= cb * tab[i][n_cols]
-    tab[m] = objrow + [rhs_acc]
+    tab[m] = _reduced_costs(tab, basis, cost2)
 
     status = _bland_min(tab, basis, base_cols, n_cols)
     if status == UNBOUNDED:
