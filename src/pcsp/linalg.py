@@ -1,9 +1,9 @@
 """Exact linear algebra over Q, Z, Z[sqrt(q)], and lattice quotients.
 
 Systems are sparse (rows are {column: coefficient} dicts).  The affine-hull
-computation certifies implicit equalities of an inequality system and hands
-back a rational interior point of the hull; structural equality pairs and a
-strictly feasible warm point both short-circuit the LP work entirely.
+computation classifies the implicit equalities of an inequality system and
+hands back a rational relative-interior point with at most two LPs: phase I
+unless the warm point is feasible, then one LP for every unpaired row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .rings import (
     QuadElem,
     balanced_sum,
 )
-from .simplex import OPTIMAL, UNBOUNDED, solve_inequality_lp
+from .simplex import OPTIMAL, solve_inequality_lp
 
 Coef = int | Fraction
 
@@ -348,13 +348,15 @@ def affine_hull_and_interior(system: InequalitySystem,
                              warm_point: Sequence[Fraction] | None = None) -> HullResult:
     """Implicit-equality classification plus a relative-interior point.
 
-    Rows forming tracked equality pairs are implicit by construction.  Every
-    other row with positive slack at some known feasible point is certified
-    non-implicit for free; only rows that sit tight at every witness get an
-    exact slack-maximisation LP.  y0 is the average of all witnesses, which
-    is strictly slack on every non-implicit row.
+    Tracked equality pairs are implicit by construction.  The base point is
+    the warm point if feasible, else phase I's.  If some other row is tight
+    there, one LP (Freund, Roundy and Todd 1985) classifies them all: over
+    y, t and a z_i per unpaired row, maximise sum z_i subject to
+    row_i . y - rhs_i t + z_i <= 0 (no z on a paired row), 0 <= z_i <= 1
+    and t >= 1.  At an optimum z_i is 0 on an implicit row, else 1, and
+    y0 = y / t has slack >= 1/t on every non-implicit row.
     """
-    m = system.n_rows
+    m, n = system.n_rows, system.n_vars
     paired = system.paired_indices()
     lp_calls = 0
 
@@ -364,47 +366,41 @@ def affine_hull_and_interior(system: InequalitySystem,
         if system.check_point(cand):
             base = cand
     if base is None:
-        res = solve_inequality_lp(system.rows, system.rhs, system.n_vars)
+        res = solve_inequality_lp(system.rows, system.rhs, n)
         lp_calls += 1
         if res.status != OPTIMAL:
             return HullResult("empty", lp_calls=lp_calls)
         base = res.x
 
-    witnesses: list[list[Fraction]] = [base]
-    implicit = [False] * m
-    for i, j in system.eq_pairs:
-        implicit[i] = implicit[j] = True
-
-    pending = [i for i in range(m)
-               if i not in paired and system.slack(base, i) == 0]
-    for i in pending:
-        # Re-check: an earlier witness may already be strict here.
-        if any(system.slack(w, i) > 0 for w in witnesses[1:]):
-            continue
-        row = system.rows[i]
-        res = solve_inequality_lp(system.rows, system.rhs, system.n_vars,
-                                  objective=row, maximize=False)
+    implicit = [i in paired for i in range(m)]
+    y0 = base
+    unpaired = [i for i in range(m) if i not in paired]
+    if any(system.slack(base, i) == 0 for i in unpaired):
+        t = n
+        z = {i: n + 1 + k for k, i in enumerate(unpaired)}
+        rows = [{**row, t: -b} for row, b in zip(system.rows, system.rhs)]
+        for i, col in z.items():
+            rows[i][col] = 1
+        rows.append({t: -1})
+        for col in z.values():
+            rows += [{col: 1}, {col: -1}]
+        rhs = [0] * m + [-1] + [1, 0] * len(z)
+        res = solve_inequality_lp(rows, rhs, n + 1 + len(z),
+                                  objective={col: 1 for col in z.values()},
+                                  maximize=True)
         lp_calls += 1
-        if res.status == UNBOUNDED:
-            # slack unbounded above; fetch an explicit strict witness
-            probe_rows = system.rows + [row]
-            probe_rhs = system.rhs + [Fraction(system.rhs[i]) - 1]
-            res2 = solve_inequality_lp(probe_rows, probe_rhs, system.n_vars)
-            lp_calls += 1
-            if res2.status != OPTIMAL:
-                raise AssertionError("unbounded slack but no strict witness")
-            witnesses.append(res2.x)
-        elif res.objective < system.rhs[i]:
-            witnesses.append(res.x)
-        else:
-            implicit[i] = True
-
-    k = len(witnesses)
-    y0 = [sum(w[j] for w in witnesses) / k for j in range(system.n_vars)]
+        if res.status != OPTIMAL:
+            raise AssertionError("the hull LP is feasible and bounded")
+        for i, col in z.items():
+            if res.x[col] == 0:
+                implicit[i] = True
+            elif res.x[col] != 1:
+                raise AssertionError("the hull LP left a z strictly between 0 and 1")
+        y0 = [v / res.x[t] for v in res.x[:n]]
 
     eq_rows, eq_rhs = system.equality_subsystem()
-    for i in range(m):
-        if implicit[i] and i not in paired:
+    for i in unpaired:
+        if implicit[i]:
             eq_rows.append(system.rows[i])
             eq_rhs.append(system.rhs[i])
     return HullResult("ok", implicit, y0, eq_rows, eq_rhs, lp_calls)

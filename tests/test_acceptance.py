@@ -99,6 +99,22 @@ def test_criterion_2_ring_lp_planted():
     _report(2, "200/200 planted systems accepted exactly; {x=1/2} hull rejected")
 
 
+def test_criterion_2_lower_dimensional_hull_gets_a_short_point():
+    # the 192nd system of one Random(4242) stream, drawn as
+    # perfbench.workloads.planted_ring_system draws it; its hull is
+    # lower-dimensional, so the point takes the scaled-delta step, whose
+    # length grows with the denominators of y0
+    rng = random.Random(4242)
+    for _ in range(192):
+        sys, _ = _planted_rational_system(rng)
+    res = ring_feasible_point(sys, QuadRing(2))
+    assert res.status == STATUS_OK
+    assert res.transcript["path"] == "scaled-delta"
+    assert sys.check_point(res.point)
+    assert max(max(abs(c.a).bit_length(), abs(c.b).bit_length())
+               for c in res.point) <= 8
+
+
 # ---------------------------------------------------------------------------
 # 3. polymorphism verification
 # ---------------------------------------------------------------------------

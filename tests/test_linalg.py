@@ -345,32 +345,66 @@ def test_hull_warm_point_skips_lps():
     assert res.y0 == [Fraction(1, 2), Fraction(1, 2)]
 
 
+def test_hull_box_tight_at_warm_point_takes_one_lp():
+    # 0 <= x_j <= 1: the warm point 0 is feasible and tight on four rows,
+    # and one LP shows that none of them is implicit
+    sys = InequalitySystem(4)
+    for j in range(4):
+        sys.add_le({j: 1}, 1)
+        sys.add_le({j: -1}, 0)
+    res = affine_hull_and_interior(sys, warm_point=[0] * 4)
+    assert res.status == "ok"
+    assert res.lp_calls == 1
+    assert res.implicit == [False] * 8
+    for i in range(8):
+        assert sys.slack(res.y0, i) > 0
+
+
 def test_hull_random_cross_check():
-    # classification must agree with per-row exact slack maximisation
+    # classification must agree with per-row exact slack maximisation: on
+    # random systems, cold; and on systems around a planted point z, with
+    # tracked equality pairs through z, cold or warm at z, where z is tight
+    # on some rows
     rng = random.Random(40)
-    for _ in range(60):
+    warm_tight = 0
+    for trial in range(150):
         n = rng.randint(1, 3)
         m = rng.randint(2, 6)
         rows = rand_sparse_rows(rng, m, n, lo=-3, hi=3, density=0.8)
-        rhs = [rng.randint(-2, 4) for _ in range(m)]
         sys = InequalitySystem(n)
-        for r, b in zip(rows, rhs):
-            sys.add_le(r, b)
-        res = affine_hull_and_interior(sys)
-        feas = solve_inequality_lp(rows, rhs, n)
+        warm = None
+        if trial < 60:
+            for r in rows:
+                sys.add_le(r, rng.randint(-2, 4))
+        else:
+            z = [rng.randint(-2, 2) for _ in range(n)]
+            for r in rows:
+                if rng.random() < 0.3:
+                    sys.add_eq(r, sparse_dot(r, z))
+                else:
+                    sys.add_le(r, sparse_dot(r, z) + rng.choice((0, 0, 1, 2)))
+            if trial % 2:
+                warm = z
+                paired = sys.paired_indices()
+                warm_tight += any(sys.slack(z, i) == 0 for i in range(sys.n_rows)
+                                  if i not in paired)
+        res = affine_hull_and_interior(sys, warm)
+        feas = solve_inequality_lp(sys.rows, sys.rhs, n)
         if feas.status != OPTIMAL:
             assert res.status == "empty"
             continue
         assert res.status == "ok"
-        for i in range(m):
-            opt = solve_inequality_lp(rows, rhs, n, objective=rows[i],
-                                      maximize=False)
-            truly_implicit = opt.status == OPTIMAL and opt.objective == rhs[i]
-            assert res.implicit[i] == truly_implicit, (rows, rhs, i)
+        assert res.lp_calls <= (1 if warm is not None else 2)
+        for i in range(sys.n_rows):
+            opt = solve_inequality_lp(sys.rows, sys.rhs, n,
+                                      objective=sys.rows[i], maximize=False)
+            truly_implicit = opt.status == OPTIMAL and opt.objective == sys.rhs[i]
+            assert res.implicit[i] == truly_implicit, (sys, i)
             if not truly_implicit:
                 assert sys.slack(res.y0, i) > 0
             else:
                 assert sys.slack(res.y0, i) == 0
+    assert warm_tight > 20
 
 
 def test_unbounded_slack_row_gets_witness():

@@ -478,6 +478,17 @@ def test_lifting_a_core_into_two_rings_leaves_it_unchanged():
         assert system.check_point(point)
 
 
+def test_cold_relaxation_hull_takes_at_most_two_lps():
+    # the barycentric warm point of twosat (6,4), seed 1, is infeasible:
+    # phase I, then one LP classifies every unpaired row
+    e = entry("twosat")
+    inst, _ = plant_satisfiable_instance(e.template, 6, 4, random.Random(1))
+    system, warm = _fresh_basic_lp(e.template, inst, e.family)
+    core = rational_core(system, warm)
+    assert core.status == "ok"
+    assert core.lp_calls <= 2
+
+
 @pytest.mark.parametrize("name,n_vars,n_clauses,seed,bits",
                          [("one-in-three-malt", 12, 10, 1, 11),
                           ("one-in-three-malt", 12, 10, 2, 13),

@@ -41,7 +41,7 @@ _SPECS = [(name, n, m, seed)
           for seed in (1, 2)]
 _SPECS += [("threshold-conds", 6, 2, 1), ("threshold-conds", 6, 2, 2),
            ("threshold-conds", 6, 4, 2),
-           ("twosat", 6, 4, 1), ("twosat", 6, 4, 2)]
+           ("twosat", 6, 4, 1), ("twosat", 6, 4, 2), ("twosat", 12, 10, 1)]
 CASES = {f"{name}/{n}x{m}/seed{seed}": (name, n, m, seed)
          for name, n, m, seed in _SPECS}
 
