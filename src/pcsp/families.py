@@ -613,10 +613,6 @@ class SimplexFamily(_PartitionFamily):
         return evaluate_partition(self.partition, point)
 
 
-Family = (ThresholdFamily | PeriodicFamily | ThresholdPeriodicFamily |
-          RegionFamily | RegionPeriodicFamily | SimplexFamily)
-
-
 # the arity scan gives up after this many candidates
 _ARITY_SCAN_WINDOW = 1_000_000
 

@@ -1,9 +1,12 @@
 """Exact linear algebra over Q, Z, Z[sqrt(q)], and lattice quotients.
 
-Systems are sparse (rows are {column: coefficient} dicts).  The affine-hull
-computation classifies the implicit equalities of an inequality system and
-hands back a rational relative-interior point with at most two LPs: phase I
-unless the warm point is feasible, then one LP for every unpaired row.
+Systems are sparse (rows are {column: coefficient} dicts).  Any point is
+substituted into a row in one way: with x = a + b sqrt(q) coordinate-wise
+(b = 0 off the ring), the slack is A + B sqrt(q) with A = rhs - row . a and
+B = -row . b, signed by `rings.quad_sign`.  The affine-hull computation
+classifies the implicit equalities of an inequality system and hands back a
+rational relative-interior point with at most two LPs: phase I unless the
+warm point is feasible, then one LP for every unpaired row.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .rings import (
     LatticeIdeal,
     LatticeQuotientElem,
     QuadElem,
-    balanced_sum,
+    RingMismatchError,
+    quad_sign,
 )
 from .simplex import OPTIMAL, solve_inequality_lp
 
@@ -32,29 +36,20 @@ def value_sign(v) -> int:
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
-class _FractionalRow(Exception):
-    """A ring element met a non-integer coefficient or right-hand side."""
-
-
-def sparse_dot(row: Mapping[int, Coef], point: Sequence):
-    """row . point with exact mixed-type arithmetic.
-
-    Ring elements multiply by integers only; a non-integer coefficient of a
-    ring coordinate raises `_FractionalRow`, which `InequalitySystem.slack`
-    answers by clearing the row's denominators.
-    """
-    terms = []
+def _row_slack(row: Mapping[int, Coef], b: Coef, point: Sequence
+               ) -> tuple[Coef, Coef, int | None]:
+    """(A, B, q) with b - row . point = A + B sqrt(q); q is None when the row
+    meets no ring coordinate, and then B is 0."""
+    a_part, b_part, q = b, 0, None
     for j, c in row.items():
         v = point[j]
-        if isinstance(c, Fraction) and isinstance(v, QuadElem):
-            if c.denominator != 1:
-                raise _FractionalRow
-            terms.append(v * c.numerator)
+        if isinstance(v, QuadElem):
+            if q not in (None, v.q):
+                raise RingMismatchError(f"mixed radicands {q} and {v.q}")
+            q, a_part, b_part = v.q, a_part - c * v.a, b_part - c * v.b
         else:
-            terms.append(v * c)
-    if not terms:
-        return Fraction(0)
-    return balanced_sum(terms, 0 * terms[0])
+            a_part -= c * v
+    return a_part, b_part, q
 
 
 def _cleared_row(row: Mapping[int, Coef], b: Coef) -> tuple[dict[int, int], int]:
@@ -66,6 +61,13 @@ def _cleared_row(row: Mapping[int, Coef], b: Coef) -> tuple[dict[int, int], int]
                 *(Fraction(c).denominator for c in row.values()))
     return ({j: int(Fraction(c) * scale) for j, c in row.items()},
             int(Fraction(b) * scale))
+
+
+def _integral(v: Coef) -> int:
+    """v as an int; a non-integral value raises rather than truncates."""
+    if v.denominator != 1:
+        raise ValueError(f"non-integral value {v} in an integer system")
+    return int(v)
 
 
 def row_l1(row: Mapping[int, Coef]) -> Fraction:
@@ -116,26 +118,26 @@ class InequalitySystem:
     def slack(self, point: Sequence, i: int):
         """rhs_i - row_i . point, exactly.
 
-        A ring point meets a row with a non-integer coefficient or right-hand
-        side only after the row is scaled by the lcm of its denominators, so
+        Every point is substituted as a + b sqrt(q), one rational pair per
+        row.  A rational point gives an int or Fraction; a ring point gives
+        a QuadElem, scaled to integer parts when the row is fractional, so
         that slack is a positive multiple of the true one, with its sign.
         """
-        row, b = self.rows[i], self.rhs[i]
-        try:
-            dot = sparse_dot(row, point)
-            if isinstance(b, Fraction) and isinstance(dot, QuadElem):
-                if b.denominator != 1:
-                    raise _FractionalRow
-                b = b.numerator
-        except _FractionalRow:
-            row, b = _cleared_row(row, b)
-            dot = sparse_dot(row, point)
-        return b - dot
+        a, b, q = _row_slack(self.rows[i], self.rhs[i], point)
+        if q is None:
+            return a
+        scale = lcm(a.denominator, b.denominator)
+        return QuadElem(int(a * scale), int(b * scale), q)
 
     def check_point(self, point: Sequence) -> bool:
-        """Exact feasibility of a (possibly ring-valued) point."""
-        return all(value_sign(self.slack(point, i)) >= 0
-                   for i in range(self.n_rows))
+        """Exact feasibility of a (possibly ring-valued) point.  A rational
+        point x is checked as D x against D rhs, D its common denominator."""
+        scale = 1
+        if not any(isinstance(v, QuadElem) for v in point):
+            scale = lcm(*(v.denominator for v in point))
+            point = [v.numerator * (scale // v.denominator) for v in point]
+        return all(quad_sign(*_row_slack(row, scale * b, point)) >= 0
+                   for row, b in zip(self.rows, self.rhs))
 
     def integerized(self) -> "InequalitySystem":
         """Row-scaled copy with integer data; same feasible set and row order."""
@@ -171,7 +173,7 @@ class IntegerSolver:
 
     def __init__(self, srows: Sequence[Mapping[int, int]], n_vars: int):
         self.n_vars = n_vars
-        srows = [{j: int(c) for j, c in r.items() if c} for r in srows]
+        srows = [{j: _integral(c) for j, c in r.items() if c} for r in srows]
         col_nnz = [0] * n_vars
         for r in srows:
             for j in r:
@@ -187,7 +189,7 @@ class IntegerSolver:
         self.result: HnfResult = hnf_from_sparse_rows(permuted, n_vars, track_u=True)
 
     def solve(self, rhs: Sequence[int]) -> list[int] | None:
-        pr = [int(rhs[i]) for i in self.row_order]
+        pr = [_integral(rhs[i]) for i in self.row_order]
         y = solve_hnf(self.result, pr)
         if y is None:
             return None

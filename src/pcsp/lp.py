@@ -79,8 +79,8 @@ def rational_core(system: InequalitySystem,
     so it scales the single integer direction T (y0 - x0) by one ring element
     near 1/T (path 'scaled-delta').
     """
-    # ring elements mix with integer scalars only, so the hull, its integer
-    # equations and the final substitution all work on integer rows
+    # the hull's integer point needs integer rows for its HNF, and delta
+    # below is defined on those rows, so everything after works on them
     ints = system.integerized()
     n = ints.n_vars
     hull = affine_hull_and_interior(ints, warm_point)
@@ -107,7 +107,7 @@ def rational_core(system: InequalitySystem,
 
     nonimp = [i for i in range(ints.n_rows) if not hull.implicit[i]]
     if nonimp:
-        delta = min(ints.slack(y0, i) / (1 + row_l1(ints.rows[i]))
+        delta = min(Fraction(ints.slack(y0, i), 1 + row_l1(ints.rows[i]))
                     for i in nonimp)
         if delta <= 0:
             raise AssertionError("interior point is not strictly slack")

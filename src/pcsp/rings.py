@@ -51,6 +51,22 @@ def sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def quad_sign(a, b, q: int | None) -> int:
+    """Exact sign of a + b*sqrt(q) for rational a, b and a non-square q;
+    q may be None when b = 0."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    # Mixed signs: compare |a| with |b|*sqrt(q) by squaring.
+    # Equality a^2 == q b^2 is impossible (q non-square, b != 0).
+    if a > 0:
+        return 1 if a * a > q * b * b else -1
+    return 1 if q * b * b > a * a else -1
+
+
 @total_ordering
 @dataclass(frozen=True)
 class QuadElem:
@@ -75,18 +91,7 @@ class QuadElem:
         return NotImplemented  # type: ignore[return-value]
 
     def sign(self) -> int:
-        a, b, q = self.a, self.b, self.q
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # Mixed signs: compare |a| with |b|*sqrt(q) by squaring.
-        # Equality a^2 == q b^2 is impossible (q non-square, b != 0).
-        if a > 0:
-            return 1 if a * a > q * b * b else -1
-        return 1 if q * b * b > a * a else -1
+        return quad_sign(self.a, self.b, self.q)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -142,7 +147,7 @@ class QuadElem:
         if isinstance(other, Fraction):
             # a + b sqrt(q) < n/d  <=>  d*a + d*b sqrt(q) < n   (d > 0)
             d, n = other.denominator, other.numerator
-            return QuadElem(d * self.a - n, d * self.b, self.q).sign() < 0
+            return quad_sign(d * self.a - n, d * self.b, self.q) < 0
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -431,26 +436,6 @@ class LatticeQuotientElem:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.vector)
-
-
-# ---------------------------------------------------------------------------
-# Balanced summation
-# ---------------------------------------------------------------------------
-
-
-def balanced_sum(items: Sequence, zero):
-    """Sum by a balanced binary tree; keeps intermediate sizes polynomial."""
-    vals = list(items)
-    if not vals:
-        return zero
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,20 @@ from pcsp.linalg import (
     affine_hull_and_interior,
     solve_integer_system,
     solve_lattice_quotient_system,
-    sparse_dot,
+    value_sign,
 )
 from pcsp.model import build_basic_lp, plant_satisfiable_instance
 from pcsp.pipeline import relaxation_plan
-from pcsp.rings import LatticeIdeal, QuadRing, dense_element
+from pcsp.rings import (LatticeIdeal, QuadElem, QuadRing, RingMismatchError,
+                        SqrtExpr, dense_element)
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
 from oracles import solve_field_system, solve_mod_p_dense
+
+
+def dot(row, x):
+    """row . x, exactly."""
+    return sum(c * x[j] for j, c in row.items())
 
 
 def sparse(row):
@@ -53,11 +59,11 @@ def test_field_solve_planted():
         m = rng.randint(1, 6)
         rows = rand_sparse_rows(rng, m, n)
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-        rhs = [sparse_dot(r, x) for r in rows]
+        rhs = [dot(r, x) for r in rows]
         got = solve_field_system(rows, rhs, n)
         assert got is not None
         for r, b in zip(rows, rhs):
-            assert sparse_dot(r, got) == b
+            assert dot(r, got) == b
 
 
 def test_field_solve_infeasible_matches_simplex():
@@ -81,7 +87,7 @@ def test_field_solve_infeasible_matches_simplex():
                 disagreements += 1
         else:
             for r, b in zip(rows, rhs):
-                assert sparse_dot(r, got) == b
+                assert dot(r, got) == b
     assert disagreements == 0
     assert nones > 20
 
@@ -96,12 +102,12 @@ def test_integer_solve_planted():
         m = rng.randint(1, 6)
         rows = rand_sparse_rows(rng, m, n)
         x = [rng.randint(-9, 9) for _ in range(n)]
-        rhs = [sparse_dot(r, x) for r in rows]
+        rhs = [dot(r, x) for r in rows]
         got = solve_integer_system(rows, rhs, n)
         assert got is not None
         assert all(isinstance(v, int) for v in got)
         for r, b in zip(rows, rhs):
-            assert sparse_dot(r, got) == b
+            assert dot(r, got) == b
 
 
 def test_integer_solve_gaps():
@@ -111,6 +117,15 @@ def test_integer_solve_gaps():
     # 2x + 4y = 6 has integer solutions, = 7 does not, = 5 neither
     assert solve_integer_system([{0: 2, 1: 4}], [6], 2) is not None
     assert solve_integer_system([{0: 2, 1: 4}], [7], 2) is None
+
+
+def test_integer_solver_refuses_fractions():
+    # (3/2) x = 3 has x = 2; truncating the coefficient to 1 answered x = 3
+    with pytest.raises(ValueError):
+        solve_integer_system([{0: Fraction(3, 2)}], [3], 1)
+    with pytest.raises(ValueError):
+        IntegerSolver([{0: 2}], 1).solve([Fraction(1, 2)])
+    assert solve_integer_system([{0: Fraction(4, 2)}], [Fraction(6, 1)], 1) == [3]
 
 
 def test_integer_solve_permutation_invariance():
@@ -127,7 +142,7 @@ def test_integer_solve_permutation_invariance():
         for got in (a, b):
             if got is not None:
                 for r, v in zip(rows, rhs):
-                    assert sparse_dot(r, got) == v
+                    assert dot(r, got) == v
 
 
 def test_kernel_basis():
@@ -142,7 +157,7 @@ def test_kernel_basis():
         for vec in kernel:
             assert vec
             for r in rows:
-                assert sparse_dot(r, [vec.get(j, 0) for j in range(n)]) == 0
+                assert dot(r, [vec.get(j, 0) for j in range(n)]) == 0
         if kernel:
             # independence: stacking them loses no rank
             krows = [{i: v for i, v in enumerate([vec.get(j, 0) for j in range(n)]) if v}
@@ -285,6 +300,93 @@ def test_ring_point_against_fractional_row(row, b):
     assert sys.slack([above, zero], 0) < 0 < sys.slack([below, zero], 0)
 
 
+def _oracle_dot(row, point) -> SqrtExpr:
+    """row . point in Q(sqrt 2, sqrt 3), by the sign oracle's arithmetic."""
+    out = SqrtExpr()
+    for j, c in row.items():
+        out = out + SqrtExpr.promote(c) * SqrtExpr.promote(point[j])
+    return out
+
+
+def _near(value: SqrtExpr, rng) -> Fraction:
+    """A rational a few units of 1/den from value: its float estimate rounded
+    to a random denominator, then offset by -1 to 2 units."""
+    est = sum(float(c) * d ** 0.5 for d, c in value.terms.items())
+    den = rng.randint(1, 5)
+    return Fraction(round(est * den) + rng.choice((-1, 0, 1, 2)), den)
+
+
+def _random_point(kind, rng, n):
+    if kind == "int":
+        return [rng.randint(-9, 9) for _ in range(n)]
+    if kind == "fraction":
+        primes = [1_000_000_007, 998_244_353, 1_000_000_009, 999_999_937]
+        return [Fraction(rng.randint(-10 ** 10, 10 ** 10), primes[j])
+                for j in range(n)]
+    q = 2 if kind == "sqrt2" else 3
+    return [QuadElem(rng.randint(-9, 9), rng.randint(-9, 9), q) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind, seed", [("int", 1), ("fraction", 2),
+                                        ("sqrt2", 3), ("sqrt3", 4)])
+def test_slack_signs_match_sqrt_oracle(kind, seed):
+    # int and Fraction rows, some as add_eq pairs, with right-hand sides near
+    # the point's row values; a Z[sqrt 3] point then moves one coordinate to
+    # just either side of its first row's boundary
+    rng = random.Random(seed)
+    feasible = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        point = _random_point(kind, rng, n)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            row = {j: rng.choice((rng.randint(1, 4), Fraction(rng.randint(1, 9), 7)))
+                   * rng.choice((1, -1)) for j in range(n) if rng.random() < 0.8}
+            rows.append(row or {0: 1})
+        edge, k = rows[0], next(iter(rows[0]))
+        if kind == "sqrt3":
+            # the other coordinates of the edge row are integers, so its
+            # boundary value of x_k is rational
+            for j in edge:
+                if j != k:
+                    point[j] = QuadElem(rng.randint(-9, 9), 0, 3)
+        sys = InequalitySystem(n)
+        for row in rows:
+            value = _oracle_dot(row, point)
+            if set(value.terms) <= {1} and rng.random() < 0.4:
+                sys.add_eq(row, value.terms.get(1, Fraction(0)))
+            else:
+                sys.add_le(row, _near(value, rng))
+        if kind == "sqrt3":
+            bound = (sys.rhs[0] - sum(c * point[j].a for j, c in edge.items()
+                                      if j != k)) / edge[k]
+            eps = Fraction(1, 2 ** 70)
+            side = rng.choice((-1, 1))
+            point[k] = dense_element(min(bound, bound + side * eps),
+                                     max(bound, bound + side * eps), QuadRing(3))
+        exact = [SqrtExpr.promote(b) - _oracle_dot(row, point)
+                 for row, b in zip(sys.rows, sys.rhs)]
+        for i, want in enumerate(exact):
+            got = sys.slack(point, i)
+            assert value_sign(got) == want.sign(), (sys, point, i)
+            if kind in ("int", "fraction"):
+                assert got == want.terms.get(1, 0)
+        verdict = all(want.sign() >= 0 for want in exact)
+        assert sys.check_point(point) == verdict, (sys, point)
+        feasible += verdict
+    assert 0 < feasible < 150
+
+
+def test_mixed_radicands_raise():
+    sys = InequalitySystem(2)
+    sys.add_le({0: 1, 1: 1}, 5)
+    point = [QuadElem(1, 1, 2), QuadElem(1, 1, 3)]
+    with pytest.raises(RingMismatchError):
+        sys.slack(point, 0)
+    with pytest.raises(RingMismatchError):
+        sys.check_point(point)
+
+
 def test_hull_point_at_half_is_all_implicit():
     sys = InequalitySystem(1)
     sys.add_eq({0: 2}, 1)
@@ -380,9 +482,9 @@ def test_hull_random_cross_check():
             z = [rng.randint(-2, 2) for _ in range(n)]
             for r in rows:
                 if rng.random() < 0.3:
-                    sys.add_eq(r, sparse_dot(r, z))
+                    sys.add_eq(r, dot(r, z))
                 else:
-                    sys.add_le(r, sparse_dot(r, z) + rng.choice((0, 0, 1, 2)))
+                    sys.add_le(r, dot(r, z) + rng.choice((0, 0, 1, 2)))
             if trial % 2:
                 warm = z
                 paired = sys.paired_indices()

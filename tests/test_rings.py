@@ -22,7 +22,6 @@ from pcsp.rings import (
     RingMismatchError,
     SqrtExpr,
     _dense_search,
-    balanced_sum,
     dense_element,
     intersect_ideals,
     sqrt_bounds,
@@ -348,12 +347,3 @@ def test_sqrt_bounds_bracket():
         lo, hi = sqrt_bounds(d, 40)
         assert lo * lo <= d <= hi * hi
         assert hi - lo == Fraction(1, 2 ** 40)
-
-
-def test_balanced_sum_matches_sum():
-    rng = random.Random(114)
-    for _ in range(100):
-        xs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(rng.randint(0, 40))]
-        assert balanced_sum(xs, Fraction(0)) == sum(xs, Fraction(0))
-    qs = [QuadElem(i, -i, 2) for i in range(10)]
-    assert balanced_sum(qs, QuadElem(0, 0, 2)) == QuadElem(45, -45, 2)
