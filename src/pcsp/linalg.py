@@ -1,12 +1,13 @@
 """Exact linear algebra over Q, Z, Z[sqrt(q)], and lattice quotients.
 
-Systems are sparse (rows are {column: coefficient} dicts).  Any point is
-substituted into a row in one way: with x = a + b sqrt(q) coordinate-wise
-(b = 0 off the ring), the slack is A + B sqrt(q) with A = rhs - row . a and
-B = -row . b, signed by `rings.quad_sign`.  The affine-hull computation
-classifies the implicit equalities of an inequality system and hands back a
-rational relative-interior point with at most two LPs: phase I unless the
-warm point is feasible, then one LP for every unpaired row.
+Systems are sparse (rows are {column: coefficient} dicts).  A point is
+substituted in one pass, `InequalitySystem.slacks`: a rational point once
+scaled to integers D x, a ring point split as x = a + b sqrt(q); a row's
+slack times D is then A + B sqrt(q), A = D rhs - row . a and B = -row . b,
+signed by `rings.quad_sign`.  The affine-hull computation classifies the
+implicit equalities of an inequality system and hands back a rational
+relative-interior point with at most two LPs: phase I unless the warm point
+is feasible, then one LP for every unpaired row.
 """
 
 from __future__ import annotations
@@ -36,20 +37,34 @@ def value_sign(v) -> int:
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
-def _row_slack(row: Mapping[int, Coef], b: Coef, point: Sequence
-               ) -> tuple[Coef, Coef, int | None]:
-    """(A, B, q) with b - row . point = A + B sqrt(q); q is None when the row
-    meets no ring coordinate, and then B is 0."""
-    a_part, b_part, q = b, 0, None
+def _split_point(point: Sequence) -> tuple[int, int | None, list, list | None]:
+    """(D, q, a, b) with point = (a + b sqrt(q)) / D coordinate-wise.  A
+    rational point is scaled to integers by its common denominator D, and b
+    is None; a ring point has D = 1.  Two radicands raise."""
+    radicands = {v.q for v in point if isinstance(v, QuadElem)}
+    if not radicands:
+        scale = lcm(*(v.denominator for v in point))
+        return scale, None, [v.numerator * (scale // v.denominator)
+                             for v in point], None
+    if len(radicands) > 1:
+        raise RingMismatchError(f"mixed radicands {sorted(radicands)}")
+    a = [v.a if isinstance(v, QuadElem) else v for v in point]
+    b = [v.b if isinstance(v, QuadElem) else 0 for v in point]
+    return 1, radicands.pop(), a, b
+
+
+def _row_slack(row: Mapping[int, Coef], rhs: Coef, a: Sequence,
+               b: Sequence | None) -> tuple[Coef, Coef]:
+    """(A, B) with rhs - row . (a + b sqrt(q)) = A + B sqrt(q); b None is 0."""
+    big_a = rhs
     for j, c in row.items():
-        v = point[j]
-        if isinstance(v, QuadElem):
-            if q not in (None, v.q):
-                raise RingMismatchError(f"mixed radicands {q} and {v.q}")
-            q, a_part, b_part = v.q, a_part - c * v.a, b_part - c * v.b
-        else:
-            a_part -= c * v
-    return a_part, b_part, q
+        big_a -= c * a[j]
+    if b is None:
+        return big_a, 0
+    big_b = 0
+    for j, c in row.items():
+        big_b -= c * b[j]
+    return big_a, big_b
 
 
 def _cleared_row(row: Mapping[int, Coef], b: Coef) -> tuple[dict[int, int], int]:
@@ -70,10 +85,6 @@ def _integral(v: Coef) -> int:
     return int(v)
 
 
-def row_l1(row: Mapping[int, Coef]) -> Fraction:
-    return sum(abs(Fraction(c)) for c in row.values())
-
-
 # ---------------------------------------------------------------------------
 # Inequality systems
 # ---------------------------------------------------------------------------
@@ -85,7 +96,10 @@ class InequalitySystem:
 
     An equality row . x == b is stored as the pair (row <= b, -row <= -b);
     the pair structure is remembered so hull computations can mark both
-    halves implicit without solving anything.
+    halves implicit without solving anything.  Every pair (i, j) has
+    row_j = -row_i and rhs_j = -rhs_i exactly: `add_eq` is the only producer
+    of pairs, and `integerized` scales both halves by the same factor.  So
+    `slacks` substitutes row i alone and negates its slack for row j.
     """
 
     n_vars: int
@@ -109,35 +123,34 @@ class InequalitySystem:
         return len(self.rows)
 
     def paired_indices(self) -> set[int]:
-        out = set()
-        for i, j in self.eq_pairs:
-            out.add(i)
-            out.add(j)
-        return out
+        return {i for pair in self.eq_pairs for i in pair}
 
-    def slack(self, point: Sequence, i: int):
-        """rhs_i - row_i . point, exactly.
+    def slacks(self, point: Sequence
+               ) -> tuple[int, int | None, list[tuple[Coef, Coef]]]:
+        """Every row's exact slack in one pass: (D, q, pairs), where
+        rhs_i - row_i . point = (A + B sqrt(q)) / D for (A, B) = pairs[i].
 
-        Every point is substituted as a + b sqrt(q), one rational pair per
-        row.  A rational point gives an int or Fraction; a ring point gives
-        a QuadElem, scaled to integer parts when the row is fractional, so
-        that slack is a positive multiple of the true one, with its sign.
+        A rational point is scaled once to integers, D its common
+        denominator, q None and every B 0; a ring point has D = 1.  Each
+        equality pair is substituted once.
         """
-        a, b, q = _row_slack(self.rows[i], self.rhs[i], point)
-        if q is None:
-            return a
-        scale = lcm(a.denominator, b.denominator)
-        return QuadElem(int(a * scale), int(b * scale), q)
+        scale, q, a, b = _split_point(point)
+        rows, rhs = self.rows, self.rhs
+        pairs = [None] * len(rows)
+        for i, j in self.eq_pairs:
+            big_a, big_b = pairs[i] = _row_slack(rows[i], scale * rhs[i], a, b)
+            pairs[j] = (-big_a, -big_b)
+        for i, pair in enumerate(pairs):
+            if pair is None:
+                pairs[i] = _row_slack(rows[i], scale * rhs[i], a, b)
+        return scale, q, pairs
 
     def check_point(self, point: Sequence) -> bool:
-        """Exact feasibility of a (possibly ring-valued) point.  A rational
-        point x is checked as D x against D rhs, D its common denominator."""
-        scale = 1
-        if not any(isinstance(v, QuadElem) for v in point):
-            scale = lcm(*(v.denominator for v in point))
-            point = [v.numerator * (scale // v.denominator) for v in point]
-        return all(quad_sign(*_row_slack(row, scale * b, point)) >= 0
-                   for row, b in zip(self.rows, self.rhs))
+        """Exact feasibility of a (possibly ring-valued) point: every slack
+        of one `slacks` pass is >= 0, a rational point checked as D x against
+        D rhs and each equality pair substituted once."""
+        _, q, pairs = self.slacks(point)
+        return all(quad_sign(a, b, q) >= 0 for a, b in pairs)
 
     def integerized(self) -> "InequalitySystem":
         """Row-scaled copy with integer data; same feasible set and row order."""
@@ -147,14 +160,6 @@ class InequalitySystem:
             out.rows.append(row)
             out.rhs.append(b)
         return out
-
-    def equality_subsystem(self) -> tuple[list[dict[int, Coef]], list[Coef]]:
-        """One equality per tracked pair."""
-        rows, rhs = [], []
-        for i, _ in self.eq_pairs:
-            rows.append(self.rows[i])
-            rhs.append(self.rhs[i])
-        return rows, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +367,26 @@ def affine_hull_and_interior(system: InequalitySystem,
     paired = system.paired_indices()
     lp_calls = 0
 
+    # one slacks pass at the base point decides feasibility and the tight
+    # rows; the slacks are scaled by the point's positive common denominator
     base: list[Fraction] | None = None
     if warm_point is not None:
-        cand = [Fraction(v) for v in warm_point]
-        if system.check_point(cand):
-            base = cand
+        base = [Fraction(v) for v in warm_point]
+        scaled = [a for a, _ in system.slacks(base)[2]]
+        if min(scaled, default=0) < 0:
+            base = None
     if base is None:
         res = solve_inequality_lp(system.rows, system.rhs, n)
         lp_calls += 1
         if res.status != OPTIMAL:
             return HullResult("empty", lp_calls=lp_calls)
         base = res.x
+        scaled = [a for a, _ in system.slacks(base)[2]]
 
     implicit = [i in paired for i in range(m)]
     y0 = base
     unpaired = [i for i in range(m) if i not in paired]
-    if any(system.slack(base, i) == 0 for i in unpaired):
+    if any(scaled[i] == 0 for i in unpaired):
         t = n
         z = {i: n + 1 + k for k, i in enumerate(unpaired)}
         rows = [{**row, t: -b} for row, b in zip(system.rows, system.rhs)]
@@ -400,9 +409,7 @@ def affine_hull_and_interior(system: InequalitySystem,
                 raise AssertionError("the hull LP left a z strictly between 0 and 1")
         y0 = [v / res.x[t] for v in res.x[:n]]
 
-    eq_rows, eq_rhs = system.equality_subsystem()
-    for i in unpaired:
-        if implicit[i]:
-            eq_rows.append(system.rows[i])
-            eq_rhs.append(system.rhs[i])
-    return HullResult("ok", implicit, y0, eq_rows, eq_rhs, lp_calls)
+    # one equality per tracked pair, then the implicit unpaired rows
+    eqs = [i for i, _ in system.eq_pairs] + [i for i in unpaired if implicit[i]]
+    return HullResult("ok", implicit, y0, [system.rows[i] for i in eqs],
+                      [system.rhs[i] for i in eqs], lp_calls)

@@ -28,10 +28,8 @@ from .linalg import (
     InequalitySystem,
     IntegerSolver,
     affine_hull_and_interior,
-    row_l1,
-    value_sign,
 )
-from .rings import QuadElem, QuadRing, dense_element
+from .rings import QuadElem, QuadRing, dense_element, quad_sign
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
@@ -106,13 +104,19 @@ def rational_core(system: InequalitySystem,
         return core
 
     nonimp = [i for i in range(ints.n_rows) if not hull.implicit[i]]
+    delta = Fraction(1)
     if nonimp:
-        delta = min(Fraction(ints.slack(y0, i), 1 + row_l1(ints.rows[i]))
-                    for i in nonimp)
-        if delta <= 0:
+        # delta = min slack_i / (1 + |row_i|_1), with slack_i = A_i / scale
+        # from one pass at y0; integer ratios compared by cross-multiplying
+        scale, _, pairs = ints.slacks(y0)
+        num, den = 0, 0
+        for i in nonimp:
+            a, width = pairs[i][0], 1 + sum(map(abs, ints.rows[i].values()))
+            if not den or a * den < num * width:
+                num, den = a, width
+        if num <= 0:
             raise AssertionError("interior point is not strictly slack")
-    else:
-        delta = Fraction(1)
+        delta = Fraction(num, scale * den)
     core.delta, core.strict_rows = delta, nonimp
 
     if full_dim:
@@ -150,7 +154,7 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
     ints = core.system
     if not ints.check_point(z0):
         raise AssertionError("ring point failed exact substitution")
-    for i in core.strict_rows:
-        if value_sign(ints.slack(z0, i)) <= 0:
-            raise AssertionError("non-implicit row not strictly slack")
+    _, q, pairs = ints.slacks(z0)
+    if any(quad_sign(*pairs[i], q) <= 0 for i in core.strict_rows):
+        raise AssertionError("non-implicit row not strictly slack")
     return RingPointResult(STATUS_OK, z0, transcript)

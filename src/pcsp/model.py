@@ -195,9 +195,6 @@ class BlockSymmetricFunction:
     def arity(self) -> int:
         return sum(self.block_sizes)
 
-    def value(self, key: tuple) -> object:
-        return self.table[key]
-
     def apply_column(self, column: Sequence) -> object:
         if len(column) != self.arity:
             raise ValueError("column length differs from arity")
@@ -414,8 +411,8 @@ def barycentric_warm_point(template: PromiseTemplate, instance: Instance,
     """Uniform lambda per clause with the mu/v values they force.
 
     For templates whose relations have symmetric value counts across
-    positions this is feasible; callers must validate with check_point
-    before relying on it.
+    positions this is feasible.  Otherwise the hull's one slack pass finds
+    a negative slack there, and phase I gives its base point instead.
     """
     emb = {d: tuple(Fraction(c) for c in embedding[d]) for d in template.domain}
     pt = [Fraction(0)] * layout.width

@@ -325,9 +325,6 @@ class LatticeIdeal:
                     v[k] -= t * self.hnf_rows[k][i]
         return tuple(v)
 
-    def contains(self, vector: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.canonicalize(vector))
-
     def cosets(self) -> Iterable[tuple[int, ...]]:
         """All canonical representatives (the fundamental box)."""
         def rec(i: int, prefix: list[int]):
@@ -434,9 +431,6 @@ class LatticeQuotientElem:
         """Push the coset into a coarser quotient (other must contain the lattice)."""
         return LatticeQuotientElem(self.vector, other)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.vector)
-
 
 # ---------------------------------------------------------------------------
 # Exact sign oracle for sums of rational multiples of square roots
@@ -531,9 +525,6 @@ class SqrtExpr:
         return SqrtExpr(out)
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sign(self) -> int:
         if not self.terms:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcsp import corpus
+from pcsp import corpus, linalg
 from pcsp.inthnf import hnf_from_sparse_rows, solve_hnf
 from pcsp.linalg import (
     InequalitySystem,
@@ -16,12 +16,11 @@ from pcsp.linalg import (
     affine_hull_and_interior,
     solve_integer_system,
     solve_lattice_quotient_system,
-    value_sign,
 )
 from pcsp.model import build_basic_lp, plant_satisfiable_instance
 from pcsp.pipeline import relaxation_plan
 from pcsp.rings import (LatticeIdeal, QuadElem, QuadRing, RingMismatchError,
-                        SqrtExpr, dense_element)
+                        SqrtExpr, dense_element, quad_sign)
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
 from oracles import solve_field_system, solve_mod_p_dense
@@ -30,6 +29,18 @@ from oracles import solve_field_system, solve_mod_p_dense
 def dot(row, x):
     """row . x, exactly."""
     return sum(c * x[j] for j, c in row.items())
+
+
+def slack_signs(system, point):
+    """The sign of every row's slack, read from the one pass."""
+    _, q, pairs = system.slacks(point)
+    return [quad_sign(a, b, q) for a, b in pairs]
+
+
+def rational_slacks(system, point):
+    """Every row's exact slack at a rational point, read from the one pass."""
+    scale, _, pairs = system.slacks(point)
+    return [Fraction(a, scale) for a, _ in pairs]
 
 
 def sparse(row):
@@ -297,7 +308,8 @@ def test_ring_point_against_fractional_row(row, b):
     below = dense_element(bound - eps, bound, ring)
     assert not sys.check_point([above, zero])
     assert sys.check_point([below, zero])
-    assert sys.slack([above, zero], 0) < 0 < sys.slack([below, zero], 0)
+    assert slack_signs(sys, [above, zero]) == [-1]
+    assert slack_signs(sys, [below, zero]) == [1]
 
 
 def _oracle_dot(row, point) -> SqrtExpr:
@@ -331,8 +343,9 @@ def _random_point(kind, rng, n):
                                         ("sqrt2", 3), ("sqrt3", 4)])
 def test_slack_signs_match_sqrt_oracle(kind, seed):
     # int and Fraction rows, some as add_eq pairs, with right-hand sides near
-    # the point's row values; a Z[sqrt 3] point then moves one coordinate to
-    # just either side of its first row's boundary
+    # the point's row values; an equality a few units off its row value has
+    # halves of opposite signs.  A Z[sqrt 3] point then moves one coordinate
+    # to just either side of its first row's boundary
     rng = random.Random(seed)
     feasible = 0
     for _ in range(150):
@@ -353,8 +366,11 @@ def test_slack_signs_match_sqrt_oracle(kind, seed):
         sys = InequalitySystem(n)
         for row in rows:
             value = _oracle_dot(row, point)
-            if set(value.terms) <= {1} and rng.random() < 0.4:
+            pick = rng.random()
+            if set(value.terms) <= {1} and pick < 0.3:
                 sys.add_eq(row, value.terms.get(1, Fraction(0)))
+            elif pick < 0.5:
+                sys.add_eq(row, _near(value, rng))
             else:
                 sys.add_le(row, _near(value, rng))
         if kind == "sqrt3":
@@ -366,11 +382,12 @@ def test_slack_signs_match_sqrt_oracle(kind, seed):
                                      max(bound, bound + side * eps), QuadRing(3))
         exact = [SqrtExpr.promote(b) - _oracle_dot(row, point)
                  for row, b in zip(sys.rows, sys.rhs)]
+        signs = slack_signs(sys, point)
         for i, want in enumerate(exact):
-            got = sys.slack(point, i)
-            assert value_sign(got) == want.sign(), (sys, point, i)
-            if kind in ("int", "fraction"):
-                assert got == want.terms.get(1, 0)
+            assert signs[i] == want.sign(), (sys, point, i)
+        if kind in ("int", "fraction"):
+            assert rational_slacks(sys, point) == [want.terms.get(1, 0)
+                                                   for want in exact]
         verdict = all(want.sign() >= 0 for want in exact)
         assert sys.check_point(point) == verdict, (sys, point)
         feasible += verdict
@@ -382,9 +399,37 @@ def test_mixed_radicands_raise():
     sys.add_le({0: 1, 1: 1}, 5)
     point = [QuadElem(1, 1, 2), QuadElem(1, 1, 3)]
     with pytest.raises(RingMismatchError):
-        sys.slack(point, 0)
+        sys.slacks(point)
     with pytest.raises(RingMismatchError):
         sys.check_point(point)
+
+
+def test_one_substitution_per_row_or_equality_pair(monkeypatch):
+    # k add_eq pairs and r unpaired rows, at a feasible warm point where no
+    # unpaired row is tight: check_point and the hull each substitute k + r
+    # rows, one per equality pair and one per unpaired row
+    calls = []
+    row_slack = linalg._row_slack
+
+    def counting(*args):
+        calls.append(args)
+        return row_slack(*args)
+
+    monkeypatch.setattr(linalg, "_row_slack", counting)
+    sys = InequalitySystem(3)
+    sys.add_eq({0: 1, 1: 1}, 2)
+    sys.add_eq({1: 1, 2: -1}, 0)
+    for j in range(3):
+        sys.add_le({j: 1}, 3)
+        sys.add_le({j: -1}, 0)
+    k, r = 2, 6
+    point = [1, 1, 1]
+    assert sys.check_point(point)
+    assert len(calls) == k + r
+    calls.clear()
+    res = affine_hull_and_interior(sys, warm_point=point)
+    assert res.lp_calls == 0 and res.y0 == point
+    assert len(calls) == k + r
 
 
 def test_hull_point_at_half_is_all_implicit():
@@ -423,8 +468,7 @@ def test_hull_full_dimensional_box():
     assert res.status == "ok"
     assert res.implicit == [False] * 4
     assert res.eq_rows == []
-    for i in range(4):
-        assert sys.slack(res.y0, i) > 0
+    assert all(s > 0 for s in rational_slacks(sys, res.y0))
 
 
 def test_hull_empty():
@@ -458,8 +502,7 @@ def test_hull_box_tight_at_warm_point_takes_one_lp():
     assert res.status == "ok"
     assert res.lp_calls == 1
     assert res.implicit == [False] * 8
-    for i in range(8):
-        assert sys.slack(res.y0, i) > 0
+    assert all(s > 0 for s in rational_slacks(sys, res.y0))
 
 
 def test_hull_random_cross_check():
@@ -488,7 +531,7 @@ def test_hull_random_cross_check():
             if trial % 2:
                 warm = z
                 paired = sys.paired_indices()
-                warm_tight += any(sys.slack(z, i) == 0 for i in range(sys.n_rows)
+                warm_tight += any(s == 0 for i, s in enumerate(rational_slacks(sys, z))
                                   if i not in paired)
         res = affine_hull_and_interior(sys, warm)
         feas = solve_inequality_lp(sys.rows, sys.rhs, n)
@@ -497,15 +540,16 @@ def test_hull_random_cross_check():
             continue
         assert res.status == "ok"
         assert res.lp_calls <= (1 if warm is not None else 2)
+        slack = rational_slacks(sys, res.y0)
         for i in range(sys.n_rows):
             opt = solve_inequality_lp(sys.rows, sys.rhs, n,
                                       objective=sys.rows[i], maximize=False)
             truly_implicit = opt.status == OPTIMAL and opt.objective == sys.rhs[i]
             assert res.implicit[i] == truly_implicit, (sys, i)
             if not truly_implicit:
-                assert sys.slack(res.y0, i) > 0
+                assert slack[i] > 0
             else:
-                assert sys.slack(res.y0, i) == 0
+                assert slack[i] == 0
     assert warm_tight > 20
 
 
@@ -517,4 +561,4 @@ def test_unbounded_slack_row_gets_witness():
     # warm point is tight, so the LP path must still certify non-implicitness
     assert res.status == "ok"
     assert res.implicit == [False]
-    assert sys.slack(res.y0, 0) > 0
+    assert rational_slacks(sys, res.y0)[0] > 0

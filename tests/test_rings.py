@@ -204,13 +204,18 @@ def test_dense_element_rejects_empty_interval():
 # -- Lattice quotients -----------------------------------------------------------
 
 
+def in_lattice(lattice, vector) -> bool:
+    """Membership in the lattice: the canonical representative is zero."""
+    return not any(lattice.canonicalize(vector))
+
+
 def test_lattice_basics_diagonal():
     j = LatticeIdeal([[2, 0], [0, 4]])
     assert j.diag == (2, 4)
     assert j.index == 8
     assert j.is_ideal
-    assert j.contains((2, -4))
-    assert not j.contains((1, 0))
+    assert in_lattice(j, (2, -4))
+    assert not in_lattice(j, (1, 0))
     assert len(list(j.cosets())) == 8
     assert j.canonicalize((5, 9)) == (1, 1)
 
@@ -231,7 +236,7 @@ def test_lattice_canonicalize_is_congruence():
             x = tuple(rng.randint(-50, 50) for _ in range(b))
             y = tuple(rng.randint(-50, 50) for _ in range(b))
             # canonical rep differs from the vector by a lattice element
-            assert j.contains(tuple(a - c for a, c in zip(x, j.canonicalize(x))))
+            assert in_lattice(j, tuple(a - c for a, c in zip(x, j.canonicalize(x))))
             # compatibility with addition
             lhs = j.canonicalize(tuple(a + c for a, c in zip(x, y)))
             rhs = j.canonicalize(tuple(a + c for a, c in zip(j.canonicalize(x),
@@ -249,8 +254,8 @@ def test_lattice_quotient_elements():
     assert (x * y).vector == (1, 2)
     assert (-y).vector == (1, 2)
     assert (x + (1, 1)).vector == (0, 0)
-    assert not x.is_zero()
-    assert (x - x).is_zero()
+    assert any(x.vector)
+    assert not any((x - x).vector)
 
 
 def test_lattice_multiplication_well_defined_iff_ideal():
@@ -279,9 +284,9 @@ def test_intersect_ideals():
     d = intersect_ideals([LatticeIdeal([[3, 1], [0, 5]]), LatticeIdeal([[2, 0], [0, 2]])])
     for x in range(-10, 11):
         for y in range(-10, 11):
-            want = (LatticeIdeal([[3, 1], [0, 5]]).contains((x, y))
-                    and LatticeIdeal([[2, 0], [0, 2]]).contains((x, y)))
-            assert d.contains((x, y)) == want
+            want = (in_lattice(LatticeIdeal([[3, 1], [0, 5]]), (x, y))
+                    and in_lattice(LatticeIdeal([[2, 0], [0, 2]]), (x, y)))
+            assert in_lattice(d, (x, y)) == want
 
 
 def test_lattice_not_full_rank_rejected():
@@ -327,12 +332,12 @@ def test_sqrtexpr_zero_detection_and_folding():
     # sqrt(8) = 2 sqrt(2): built from non-squarefree input they must cancel
     a = SqrtExpr({2: Fraction(2)})
     b = SqrtExpr.from_quad(QuadElem(0, 1, 8))
-    assert (a - b).is_zero()
+    assert not (a - b).terms
     assert (a - b).sign() == 0
     # (sqrt2 + sqrt3)^2 == 5 + 2 sqrt6
     s = SqrtExpr({2: Fraction(1), 3: Fraction(1)})
     sq = s * s
-    assert (sq - SqrtExpr({1: Fraction(5), 6: Fraction(2)})).is_zero()
+    assert not (sq - SqrtExpr({1: Fraction(5), 6: Fraction(2)})).terms
     # cross-ring comparison: sqrt2 * sqrt3 < 5/2  (sqrt6 ~ 2.449)
     prod = SqrtExpr({2: Fraction(1)}) * SqrtExpr({3: Fraction(1)})
     assert (prod - Fraction(5, 2)).sign() == -1
