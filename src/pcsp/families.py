@@ -536,8 +536,10 @@ class RegionPeriodicFamily(_PartitionFamily):
     """Region label picks a target quotient and residue map for the raw
     block-weight vector.
 
-    `affine_lattice`, the intersection of the cell lattices, is the quotient
-    the affine relaxation is solved over; it is computed once, here.
+    Each cell lattice is an ideal of Z^b, so each cell quotient is a product
+    ring Z/d_1 x ... x Z/d_b.  `affine_lattice`, the intersection of the cell
+    lattices, is the quotient the affine relaxation is solved over; it is
+    computed once, here.
     """
 
     partition: PartitionSpec

@@ -138,7 +138,10 @@ def template_from_json(obj) -> PromiseTemplate:
         _expect(pair, list, f"$.phi[{i}]", "a [d, e] pair")
         if len(pair) != 2:
             raise SchemaError(f"$.phi[{i}]", "expected a [d, e] pair")
-        phi[_scalar(pair[0], f"$.phi[{i}][0]")] = _scalar(pair[1], f"$.phi[{i}][1]")
+        d = _scalar(pair[0], f"$.phi[{i}][0]")
+        if d in phi:
+            raise SchemaError(f"$.phi[{i}]", f"repeated domain value {d!r}")
+        phi[d] = _scalar(pair[1], f"$.phi[{i}][1]")
     rels = []
     cons = _expect(obj["constraints"], list, "$.constraints", "a list")
     for i, c in enumerate(cons):
@@ -333,6 +336,12 @@ def _rings_from_json(obj, path: str, count: int | None = None) -> list[int]:
     return out
 
 
+def _diagonal_matrix(lat: LatticeIdeal) -> list:
+    """The ideal's Hermite form diag(d_1, ..., d_b), as rows."""
+    return [[d if i == k else 0 for k in range(lat.dim)]
+            for i, d in enumerate(lat.diag)]
+
+
 def family_to_json(f) -> dict:
     kind = _KIND_TO_JSON[f.kind]
     out: dict = {"kind": kind, "name": f.name}
@@ -361,7 +370,7 @@ def family_to_json(f) -> dict:
         out["corners"] = _corners_to_json(f.partition.corners)
         out["quotients"] = [
             {"label": label,
-             "lattice": [list(row) for row in lat.hnf_rows],
+             "lattice": _diagonal_matrix(lat),
              "eta": [{"coset": list(cs), "out": val}
                      for cs, val in sorted(eta.items())]}
             for label, (lat, eta) in sorted(f.cell_data.items(),
@@ -447,6 +456,8 @@ def family_from_json(obj):
             _expect(qd, dict, p, "a quotient object")
             _expect_keys(qd, p, ("label", "lattice", "eta"))
             label = _scalar(qd["label"], f"{p}.label")
+            if label in cell_data:
+                raise SchemaError(p, f"repeated label {label!r}")
             gens = [_int_list(row, f"{p}.lattice[{j}]")
                     for j, row in enumerate(_expect(qd["lattice"], list,
                                                     f"{p}.lattice", "a list"))]
@@ -460,6 +471,8 @@ def family_from_json(obj):
                 _expect(ent, dict, pp, "a coset entry")
                 _expect_keys(ent, pp, ("coset", "out"))
                 cs = tuple(_int_list(ent["coset"], f"{pp}.coset"))
+                if cs in eta:
+                    raise SchemaError(pp, f"repeated coset {list(cs)}")
                 eta[cs] = _scalar(ent["out"], f"{pp}.out")
             cell_data[label] = (lat, eta)
         return _family_ctor(RegionPeriodicFamily, "$", spec, tuple(qs),
@@ -540,7 +553,7 @@ def affine_to_json(aff: AffineSystem) -> dict:
             ent.append([j, list(c) if isinstance(c, tuple) else c])
         rows.append(ent)
     return {
-        "quotient": [list(r) for r in aff.layout.lattice.hnf_rows],
+        "quotient": _diagonal_matrix(aff.layout.lattice),
         "width": aff.layout.width,
         "rows": rows,
         "rhs": [list(e.vector) for e in aff.rhs],

@@ -277,19 +277,20 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
                                   n_vars: int,
                                   lattice: LatticeIdeal
                                   ) -> list[LatticeQuotientElem] | None:
-    """Solve sum_j c_ij x_j = rhs_i over Z^b / J.
+    """Solve sum_j c_ij x_j = rhs_i over the product ring
+    Z^b / J = Z/d_1 x ... x Z/d_b (Z/M when b = 1).
 
     A coefficient is either an int (acting on every coordinate) or a
     length-b integer tuple, which multiplies componentwise the way a ring
     constant does.  Variable x_j takes the integer columns j*b .. j*b+b-1.
-    Each equation gets its own block of lattice-generator slack columns, so
-    congruence is handled exactly.
+    One slack column per equation and coordinate, with coefficient d_k,
+    handles the congruence exactly.
     """
     b = lattice.dim
     m = len(srows)
     slack_base = n_vars * b
 
-    modulus = lattice.hnf_rows[0][0] if b == 1 else 0
+    modulus = lattice.diag[0] if b == 1 else 0
     if b == 1 and _is_small_prime(modulus):
         # rank-1 prime quotient: plain elimination over GF(p) replaces the
         # integer normal-form machinery (same verdicts, much cheaper)
@@ -310,7 +311,6 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
             return None
         return [lattice.element((sol1[j],)) for j in range(n_vars)]
 
-    gens = [tuple(lattice.hnf_rows[i][k] for i in range(b)) for k in range(b)]
     out_rows: list[dict[int, int]] = []
     out_rhs: list[int] = []
     for i in range(m):
@@ -322,11 +322,7 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
                 cc = c[coord] if isinstance(c, tuple) else c
                 if cc:
                     row[j * b + coord] = cc
-            for k in range(b):
-                col = slack_base + (i * b + k)
-                v = gens[k][coord]
-                if v:
-                    row[col] = v
+            row[slack_base + i * b + coord] = lattice.diag[coord]
             out_rows.append(row)
             out_rhs.append(rhs[i].vector[coord])
     width = slack_base + m * b

@@ -343,8 +343,6 @@ def _clause_block_weights(plan: RelaxationPlan, tuples, result: SolveResult,
     """
     m = len(tuples)
     lattice = plan.lattice
-    if lattice is not None and not lattice.is_ideal:
-        raise ValueError("weight replay needs a diagonal affine lattice")
     aff = None if lattice is None else result.affine.clause_multipliers(j)
     out = []
     for i, Lb in enumerate(sizes):

@@ -1,8 +1,9 @@
 """Exact arithmetic domains for the solver toolkit.
 
 Provides rationals (stdlib Fraction), quadratic integer rings Z[sqrt(q)]
-whose elements compare and floor exactly against ints and Fractions, lattice
-quotients Z^b / J with Hermite-canonical coset representatives, the
+whose elements compare and floor exactly against ints and Fractions, the
+product rings Z/d_1 x ... x Z/d_b (Z/M when b = 1) that an affine relaxation
+is solved over, with canonical representatives 0 <= v_i < d_i, the
 dense-element search used by the ring-feasible LP rounding, and an exact sign
 oracle for mixed square-root expressions (used when partition cells compare
 coordinates from different rings).
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import floor, gcd, isqrt
+from itertools import product
+from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .inthnf import hnf_from_rows
@@ -275,13 +277,13 @@ def dense_element(p, r, ring: QuadRing) -> QuadElem:
 
 
 class LatticeIdeal:
-    """Full-rank sublattice J of Z^b given by generator vectors.
+    """Ideal J = d_1 Z x ... x d_b Z of Z^b, given by generator vectors.
 
-    The Hermite normal form of the generator matrix (generators as columns)
-    is cached; coset representatives are canonicalised into the fundamental
-    box 0 <= v_i < H[i][i].  Coset-by-coset multiplication is well defined
-    exactly when J is an ideal of the product ring Z^b (diagonal HNF); it is
-    computed representative-wise in general.
+    The ideals of Z^b are exactly the full-rank lattices whose Hermite normal
+    form (generators as columns) is diagonal, so the quotient Z^b / J is the
+    product ring Z/d_1 x ... x Z/d_b (Z/M when b = 1).  Any generator set
+    spanning such a lattice is accepted; any other lattice raises ValueError.
+    Coset representatives are canonicalised into the box 0 <= v_i < d_i.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]]):
@@ -297,86 +299,53 @@ class LatticeIdeal:
         if res.rank != b:
             raise ValueError("lattice is not full rank (quotient would be infinite)")
         h = res.h_dense()
+        if any(h[i][j] for i in range(b) for j in range(b) if i != j):
+            raise ValueError(f"lattice is not an ideal of Z^b: Hermite form {h}")
         self.dim = b
-        self.hnf_rows = tuple(tuple(r[:b]) for r in h)
-        self.diag = tuple(self.hnf_rows[i][i] for i in range(b))
-        self.generators = tuple(gens)
+        self.diag = tuple(h[i][i] for i in range(b))
 
     @property
     def index(self) -> int:
-        out = 1
-        for d in self.diag:
-            out *= d
-        return out
-
-    @property
-    def is_ideal(self) -> bool:
-        return all(self.hnf_rows[i][j] == 0
-                   for i in range(self.dim) for j in range(self.dim) if i != j)
+        return prod(self.diag)
 
     def canonicalize(self, vector: Sequence[int]) -> tuple[int, ...]:
-        v = [int(x) for x in vector]
-        if len(v) != self.dim:
+        if len(vector) != self.dim:
             raise ValueError("vector dimension mismatch")
-        for i in range(self.dim):
-            t = v[i] // self.diag[i]
-            if t:
-                for k in range(i, self.dim):
-                    v[k] -= t * self.hnf_rows[k][i]
-        return tuple(v)
+        return tuple(int(x) % d for x, d in zip(vector, self.diag))
 
     def cosets(self) -> Iterable[tuple[int, ...]]:
         """All canonical representatives (the fundamental box)."""
-        def rec(i: int, prefix: list[int]):
-            if i == self.dim:
-                yield tuple(prefix)
-                return
-            for v in range(self.diag[i]):
-                yield from rec(i + 1, prefix + [v])
-        yield from rec(0, [])
+        return product(*(range(d) for d in self.diag))
 
     def element(self, vector: Sequence[int]) -> "LatticeQuotientElem":
         return LatticeQuotientElem(self.canonicalize(vector), self)
 
     def __eq__(self, other):
-        return isinstance(other, LatticeIdeal) and self.hnf_rows == other.hnf_rows
+        return isinstance(other, LatticeIdeal) and self.diag == other.diag
 
     def __hash__(self):
-        return hash(self.hnf_rows)
+        return hash(self.diag)
 
     def __repr__(self):
         return f"LatticeIdeal(dim={self.dim}, diag={self.diag})"
 
 
 def intersect_ideals(ideals: Sequence[LatticeIdeal]) -> LatticeIdeal:
-    """Intersection of full-rank sublattices of the same Z^b."""
+    """Intersection of ideals of the same Z^b: the ideal whose d_i is the lcm
+    of theirs, so its quotient is again a product ring Z/d_1 x ... x Z/d_b."""
     if not ideals:
         raise ValueError("no lattices to intersect")
     b = ideals[0].dim
     if any(j.dim != b for j in ideals):
         raise ValueError("dimension mismatch")
-    current = ideals[0]
-    for nxt in ideals[1:]:
-        # x in L1 cap L2  <=>  x = A u = B v; kernel of [A | -B] gives u.
-        a_cols = [tuple(current.hnf_rows[i][k] for i in range(b)) for k in range(b)]
-        b_cols = [tuple(nxt.hnf_rows[i][k] for i in range(b)) for k in range(b)]
-        rows = []
-        for i in range(b):
-            rows.append([a_cols[k][i] for k in range(b)] + [-b_cols[k][i] for k in range(b)])
-        res = hnf_from_rows(rows, track_u=True)
-        gens = []
-        for col in res.kernel_columns():
-            u = [col.get(k, 0) for k in range(b)]
-            vec = tuple(sum(a_cols[k][i] * u[k] for k in range(b)) for i in range(b))
-            if any(vec):
-                gens.append(vec)
-        current = LatticeIdeal(gens)
-    return current
+    diag = [lcm(*(j.diag[i] for j in ideals)) for i in range(b)]
+    return LatticeIdeal([[d if i == k else 0 for k in range(b)]
+                         for i, d in enumerate(diag)])
 
 
 @dataclass(frozen=True)
 class LatticeQuotientElem:
-    """Coset of Z^b modulo a full-rank lattice, stored canonically."""
+    """Element of the product ring Z^b / J, stored canonically."""
 
     vector: tuple[int, ...]
     lattice: LatticeIdeal
@@ -384,51 +353,11 @@ class LatticeQuotientElem:
     def __post_init__(self):
         object.__setattr__(self, "vector", self.lattice.canonicalize(self.vector))
 
-    def _coerce(self, other) -> "LatticeQuotientElem":
-        if isinstance(other, LatticeQuotientElem):
-            if other.lattice != self.lattice:
-                raise RingMismatchError("mixed lattices")
-            return other
-        if isinstance(other, int):
-            return LatticeQuotientElem((other,) * self.lattice.dim, self.lattice)
-        if isinstance(other, tuple):
-            return LatticeQuotientElem(other, self.lattice)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LatticeQuotientElem(tuple(x + y for x, y in zip(self.vector, o.vector)),
-                                   self.lattice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LatticeQuotientElem(tuple(x - y for x, y in zip(self.vector, o.vector)),
-                                   self.lattice)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LatticeQuotientElem(tuple(x * y for x, y in zip(self.vector, o.vector)),
-                                   self.lattice)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LatticeQuotientElem(tuple(-x for x in self.vector), self.lattice)
-
     def reduce_to(self, other: LatticeIdeal) -> "LatticeQuotientElem":
-        """Push the coset into a coarser quotient (other must contain the lattice)."""
+        """Push the element into a coarser quotient; other must contain the
+        lattice, that is each of its d_i must divide the lattice's d_i."""
+        if any(d % e for d, e in zip(self.lattice.diag, other.diag)):
+            raise ValueError(f"{other} does not contain {self.lattice}")
         return LatticeQuotientElem(self.vector, other)
 
 

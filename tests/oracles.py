@@ -31,6 +31,17 @@ def check_polymorphism_naive(f: BlockSymmetricFunction,
     return PolymorphismReport(True)
 
 
+def quotient_combination(diag: Sequence[int], terms) -> tuple[int, ...]:
+    """sum c * x over Z/d_1 x ... x Z/d_b, reduced mod each d_k.
+
+    `terms` holds (c, x) pairs: c is an int or a per-coordinate tuple, x any
+    integer representative vector."""
+    terms = list(terms)
+    return tuple(sum((c[k] if isinstance(c, tuple) else c) * x[k]
+                     for c, x in terms) % d
+                 for k, d in enumerate(diag))
+
+
 def solve_field_system(rows: Sequence[Mapping[int, int | Fraction]],
                        rhs: Sequence[int | Fraction],
                        n_vars: int) -> list[Fraction] | None:

@@ -67,6 +67,67 @@ def test_region_periodic_family_roundtrip():
     m = parsed.member(3)
     assert m.apply_column((1, 1, 0)) == fam.member(3).apply_column((1, 1, 0)) == 0
     assert m.apply_column((1, 1, 1)) == 1
+    # two blocks: each quotient and the affine quotient are written as the
+    # ideal's diagonal Hermite form, and the bytes survive a round trip
+    two = two_block_regper()
+    doc = family_to_json(two)
+    assert [q["lattice"] for q in doc["quotients"]] == [[[2, 0], [0, 2]],
+                                                        [[1, 0], [0, 1]]]
+    assert dumps(family_to_json(family_from_json(doc))) == dumps(doc)
+    tpl = corpus.entry("one-in-three-malt").template
+    aff = build_affine_relaxation(tpl, Instance(3, (Clause(0, (0, 1, 2)),)),
+                                  two.affine_lattice, {0: (0, 0), 1: (1, 1)})
+    assert jsonio.affine_to_json(aff)["quotient"] == [[2, 0], [0, 2]]
+
+
+def two_block_regper() -> RegionPeriodicFamily:
+    """Region-periodic family on the malt partition: Z/2 x Z/2 on label 0,
+    the zero ring on label 1."""
+    malt = corpus.entry("one-in-three-malt").family
+    eta0 = {(0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}
+    return RegionPeriodicFamily(
+        malt.partition, malt.radicands,
+        {0: (LatticeIdeal([(2, 0), (0, 2)]), eta0),
+         1: (LatticeIdeal([(1, 0), (0, 1)]), {(0, 0): "e"})})
+
+
+def test_regper_non_ideal_lattice_rejected():
+    # generators (2, 1), (0, 3) span a lattice that is no ideal of Z^2, so
+    # Z^2 modulo it is no ring; every coset of its Hermite box has an output
+    doc = family_to_json(two_block_regper())
+    doc["quotients"][1]["lattice"] = [[2, 1], [0, 3]]
+    doc["quotients"][1]["eta"] = [{"coset": [a, b], "out": "e"}
+                                  for a in range(2) for b in range(3)]
+    with pytest.raises(SchemaError, match=r"^\$\.quotients\[1\]\.lattice: "):
+        family_from_json(doc)
+
+
+def test_repeated_phi_value_rejected():
+    # every pair over E is weak, so the later image of 0 would stand
+    doc = {
+        "domains": {"D": [0, 1], "E": ["a", "b"]},
+        "phi": [[0, "a"], [1, "b"], [0, "b"]],
+        "constraints": [{"name": "r", "arity": 2, "P": [[0, 1]],
+                         "Q": [[x, y] for x in "ab" for y in "ab"]}],
+    }
+    with pytest.raises(SchemaError, match=r"^\$\.phi\[2\]: repeated"):
+        template_from_json(doc)
+
+
+def test_repeated_quotient_label_rejected():
+    doc = family_to_json(two_block_regper())
+    doc["quotients"].append({**doc["quotients"][1],
+                             "eta": [{"coset": [0, 0], "out": "zz"}]})
+    with pytest.raises(SchemaError, match=r"^\$\.quotients\[2\]: repeated"):
+        family_from_json(doc)
+
+
+def test_repeated_eta_coset_rejected():
+    doc = family_to_json(two_block_regper())
+    doc["quotients"][0]["eta"].append({"coset": [0, 0], "out": "zz"})
+    with pytest.raises(SchemaError,
+                       match=r"^\$\.quotients\[0\]\.eta\[4\]: repeated"):
+        family_from_json(doc)
 
 
 def test_family_less_than_relation_negates():

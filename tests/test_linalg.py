@@ -23,7 +23,7 @@ from pcsp.rings import (LatticeIdeal, QuadElem, QuadRing, RingMismatchError,
                         SqrtExpr, dense_element, quad_sign)
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
 
-from oracles import solve_field_system, solve_mod_p_dense
+from oracles import quotient_combination, solve_field_system, solve_mod_p_dense
 
 
 def dot(row, x):
@@ -187,20 +187,14 @@ def test_lattice_solve_planted():
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         rows = rand_sparse_rows(rng, m, n, lo=-4, hi=4, density=0.8)
-        x = [lat.element((rng.randint(0, 1), rng.randint(0, 3))) for _ in range(n)]
-        rhs = []
-        for r in rows:
-            acc = lat.element((0, 0))
-            for j, c in r.items():
-                acc = acc + lat.element(tuple(c * v for v in x[j].vector))
-            rhs.append(acc)
+        x = [(rng.randint(0, 1), rng.randint(0, 3)) for _ in range(n)]
+        rhs = [lat.element(quotient_combination(
+            lat.diag, ((c, x[j]) for j, c in r.items()))) for r in rows]
         got = solve_lattice_quotient_system(rows, rhs, n, lat)
         assert got is not None
         for r, b in zip(rows, rhs):
-            acc = lat.element((0, 0))
-            for j, c in r.items():
-                acc = acc + lat.element(tuple(c * v for v in got[j].vector))
-            assert acc == b
+            assert quotient_combination(
+                lat.diag, ((c, got[j].vector) for j, c in r.items())) == b.vector
 
 
 def test_lattice_solve_modint_case_brute_force():

@@ -26,7 +26,8 @@ from pcsp.model import (
 )
 from pcsp.rings import LatticeIdeal
 
-from oracles import check_polymorphism_naive, lp_feasible_rational
+from oracles import (check_polymorphism_naive, lp_feasible_rational,
+                     quotient_combination)
 
 
 def bool_rel(name, strong, weak=None):
@@ -377,21 +378,14 @@ def test_lattice_solver_tuple_coefficients():
         rhs = []
         for _ in range(4):
             row = {}
-            acc = lat.element((0, 0))
             for j in range(n):
                 if rng.random() < 0.7:
-                    c = (rng.randrange(-2, 3), rng.randrange(-2, 3))
-                    row[j] = c
-                    prod = lat.element((c[0] * xs[j].vector[0],
-                                        c[1] * xs[j].vector[1]))
-                    acc = acc + prod
+                    row[j] = (rng.randrange(-2, 3), rng.randrange(-2, 3))
             rows.append(row)
-            rhs.append(acc)
+            rhs.append(lat.element(quotient_combination(
+                lat.diag, ((c, xs[j].vector) for j, c in row.items()))))
         sol = solve_lattice_quotient_system(rows, rhs, n, lat)
         assert sol is not None
         for row, want in zip(rows, rhs):
-            got = lat.element((0, 0))
-            for j, c in row.items():
-                got = got + lat.element((c[0] * sol[j].vector[0],
-                                         c[1] * sol[j].vector[1]))
-            assert got == want
+            assert quotient_combination(
+                lat.diag, ((c, sol[j].vector) for j, c in row.items())) == want.vector

@@ -46,6 +46,8 @@ from pcsp.pipeline import (
 )
 from pcsp.rings import LatticeIdeal, QuadElem, QuadRing
 
+from oracles import quotient_combination
+
 
 @lru_cache(maxsize=None)
 def solved(name: str, seed: int = 3, n_vars: int = 6, n_clauses: int = 4):
@@ -148,21 +150,14 @@ def test_lp_transcript_ties_multipliers_to_values():
 
 def test_affine_transcript_multipliers_sum_to_one():
     e, inst, res = solved("mod7-sandwich")
-    lattice = res.affine.solution[0].lattice
-    one = lattice.element((1,))
+    diag = res.affine.solution[0].lattice.diag
     for j, cl in enumerate(inst.clauses):
         r = res.affine.clause_multipliers(j)
-        total = None
-        for t, v in r.items():
-            total = v if total is None else total + v
-        assert total == one
+        assert quotient_combination(diag, ((1, v.vector) for v in r.values())) == (1,)
         # position sums reproduce the variable residues
         for pos, x in enumerate(cl.variables):
-            col = None
-            for t, v in r.items():
-                term = v * t[pos]
-                col = term if col is None else col + term
-            assert col == res.affine.variable_value(x)
+            col = quotient_combination(diag, ((t[pos], v.vector) for t, v in r.items()))
+            assert col == res.affine.variable_value(x).vector
 
 
 def test_construct_weights_small_case_frozen():

@@ -16,7 +16,6 @@ import pytest
 
 from pcsp.rings import (
     LatticeIdeal,
-    LatticeQuotientElem,
     QuadElem,
     QuadRing,
     RingMismatchError,
@@ -213,7 +212,6 @@ def test_lattice_basics_diagonal():
     j = LatticeIdeal([[2, 0], [0, 4]])
     assert j.diag == (2, 4)
     assert j.index == 8
-    assert j.is_ideal
     assert in_lattice(j, (2, -4))
     assert not in_lattice(j, (1, 0))
     assert len(list(j.cosets())) == 8
@@ -224,8 +222,6 @@ def test_lattice_canonicalize_is_congruence():
     rng = random.Random(111)
     gens_pool = [
         [[2, 0], [0, 4]],
-        [[3, 1], [0, 5]],
-        [[4, 2], [2, 4]],
         [[7]],
         [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
     ]
@@ -245,19 +241,6 @@ def test_lattice_canonicalize_is_congruence():
             assert j.canonicalize(j.canonicalize(x)) == j.canonicalize(x)
 
 
-def test_lattice_quotient_elements():
-    j = LatticeIdeal([[2, 0], [0, 4]])
-    x = j.element((1, 3))
-    y = j.element((1, 2))
-    assert (x + y).vector == (0, 1)
-    assert (x - y).vector == (0, 1)
-    assert (x * y).vector == (1, 2)
-    assert (-y).vector == (1, 2)
-    assert (x + (1, 1)).vector == (0, 0)
-    assert any(x.vector)
-    assert not any((x - x).vector)
-
-
 def test_lattice_multiplication_well_defined_iff_ideal():
     # diagonal: products of cosets do not depend on representatives
     j = LatticeIdeal([[2, 0], [0, 4]])
@@ -270,9 +253,22 @@ def test_lattice_multiplication_well_defined_iff_ideal():
         prod2 = j.canonicalize(tuple(a * b for a, b in zip(sx, y)))
         # shifted x by (2k, 0) which lies in the lattice
         assert prod1 == prod2
-    # non-diagonal HNF flags itself
-    k = LatticeIdeal([[2, 1], [0, 3]])
-    assert not k.is_ideal
+
+
+def test_non_ideal_lattice_rejected():
+    # Hermite form [[2, 0], [1, 3]]: (1, 0) * (2, 1) = (2, 0) leaves the
+    # lattice, so the quotient is no ring
+    with pytest.raises(ValueError, match="not an ideal"):
+        LatticeIdeal([[2, 1], [0, 3]])
+    with pytest.raises(ValueError, match="not an ideal"):
+        LatticeIdeal([[4, 2], [2, 4]])
+
+
+def test_ideal_from_non_diagonal_generators():
+    j = LatticeIdeal([[2, 2], [0, 2]])
+    assert j.diag == (2, 2)
+    assert j == LatticeIdeal([[2, 0], [0, 2]])
+    assert j.canonicalize((3, -1)) == (1, 1)
 
 
 def test_intersect_ideals():
@@ -280,13 +276,18 @@ def test_intersect_ideals():
     b = LatticeIdeal([[4, 0], [0, 2]])
     c = intersect_ideals([a, b])
     assert c.diag == (4, 4)
-    # intersection membership agrees with pairwise membership on a grid
-    d = intersect_ideals([LatticeIdeal([[3, 1], [0, 5]]), LatticeIdeal([[2, 0], [0, 2]])])
-    for x in range(-10, 11):
-        for y in range(-10, 11):
-            want = (in_lattice(LatticeIdeal([[3, 1], [0, 5]]), (x, y))
-                    and in_lattice(LatticeIdeal([[2, 0], [0, 2]]), (x, y)))
-            assert in_lattice(d, (x, y)) == want
+
+
+def test_intersect_ideals_matches_membership_grid():
+    rng = random.Random(113)
+    for _ in range(20):
+        a, b = (LatticeIdeal([[rng.randint(1, 6), 0], [0, rng.randint(1, 6)]])
+                for _ in range(2))
+        c = intersect_ideals([a, b])
+        for x in range(-12, 13):
+            for y in range(-12, 13):
+                want = in_lattice(a, (x, y)) and in_lattice(b, (x, y))
+                assert in_lattice(c, (x, y)) == want
 
 
 def test_lattice_not_full_rank_rejected():
@@ -301,6 +302,14 @@ def test_reduce_to_coarser_lattice():
     y = x.reduce_to(coarse)
     assert y.vector == (1, 0)
     assert y.lattice == coarse
+
+
+def test_reduce_to_refuses_a_finer_lattice():
+    with pytest.raises(ValueError, match="does not contain"):
+        LatticeIdeal([(2,)]).element((1,)).reduce_to(LatticeIdeal([(4,)]))
+    with pytest.raises(ValueError, match="does not contain"):
+        LatticeIdeal([(2, 0), (0, 6)]).element((1, 5)).reduce_to(
+            LatticeIdeal([(2, 0), (0, 4)]))
 
 
 # -- SqrtExpr -------------------------------------------------------------------
