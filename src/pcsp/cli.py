@@ -67,6 +67,16 @@ def load_family(arg: str):
     raise CliError(f"unknown family {arg!r}: not one of {known} or a file")
 
 
+def _load_pair(template_arg: str, family_arg: str):
+    """The template and the family, which must share the strong domain."""
+    template = load_template(template_arg)
+    family = load_family(family_arg)
+    if tuple(family.domain) != tuple(template.domain):
+        raise CliError(f"family {family_arg!r} has domain {list(family.domain)}, "
+                       f"template {template_arg!r} has {list(template.domain)}")
+    return template, family
+
+
 def load_instance(arg: str, template):
     try:
         return jsonio.instance_from_json(_load_json(arg), template)
@@ -94,8 +104,7 @@ def _parse_ring(spec: str) -> QuadRing:
 
 
 def _cmd_solve(args) -> int:
-    template = load_template(args.template)
-    family = load_family(args.family)
+    template, family = _load_pair(args.template, args.family)
     instance = load_instance(args.instance, template)
     result = solve(template, instance, family)
     if not result.accepted:
@@ -106,8 +115,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_pol(args) -> int:
-    template = load_template(args.template)
-    family = load_family(args.family)
+    template, family = _load_pair(args.template, args.family)
     try:
         member = family.member(args.arity)
     except InvalidArityError as e:
@@ -147,15 +155,17 @@ def _cmd_gen(args) -> int:
     template = load_template(args.template)
     if args.n < 1 or args.m < 0:
         raise CliError("need n >= 1 and m >= 0")
-    instance, _ = plant_satisfiable_instance(template, args.n, args.m,
-                                             random.Random(args.seed))
+    try:
+        instance, _ = plant_satisfiable_instance(template, args.n, args.m,
+                                                 random.Random(args.seed))
+    except (ValueError, RuntimeError) as e:
+        raise CliError(str(e)) from None
     print(jsonio.dumps(jsonio.instance_to_json(instance, template)), end="")
     return 0
 
 
 def _cmd_relax(args) -> int:
-    template = load_template(args.template)
-    family = load_family(args.family)
+    template, family = _load_pair(args.template, args.family)
     instance = load_instance(args.instance, template)
     plan = relaxation_plan(family)
     if args.dump == "lp":

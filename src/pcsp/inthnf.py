@@ -2,30 +2,14 @@
 
 Kept dependency-free so both the ring layer (lattice canonicalisation) and
 the linear-algebra layer can use it.  Matrices are stored sparsely as lists
-of column dicts {row_index: nonzero int}; helpers convert from/to dense
-row-major lists.
+of column dicts {row_index: nonzero int}.  `hnf_sparse` is the one entry
+point: callers hand it their columns, and it always tracks the unimodular
+U, whose trailing columns span the integer kernel.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def columns_from_rows(rows: Sequence[Sequence[int]], n_cols: int) -> list[dict[int, int]]:
-    cols: list[dict[int, int]] = [dict() for _ in range(n_cols)]
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
-    return cols
-
-
-def rows_from_columns(cols: Sequence[dict[int, int]], n_rows: int) -> list[list[int]]:
-    rows = [[0] * len(cols) for _ in range(n_rows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
 
 
 def _col_addmul(dst: dict[int, int], src: dict[int, int], factor: int) -> None:
@@ -68,22 +52,18 @@ class HnfResult:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def h_dense(self) -> list[list[int]]:
-        return rows_from_columns(self.h_cols, self.n_rows)
-
     def kernel_columns(self) -> list[dict[int, int]]:
         return [self.u_cols[j] for j in range(self.rank, self.n_cols)]
 
 
-def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int,
-               track_u: bool = True) -> HnfResult:
+def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int) -> HnfResult:
     """Classical column reduction with explicit unimodular tracking.
 
     A row -> column-position index keeps each step proportional to the
     nonzeros actually touched instead of the full matrix width.
     """
     h = [dict(c) for c in cols]
-    u: list[dict[int, int]] = [{j: 1} for j in range(n_cols)] if track_u else [dict() for _ in range(n_cols)]
+    u: list[dict[int, int]] = [{j: 1} for j in range(n_cols)]
     support: list[set[int]] = [set() for _ in range(n_rows)]
     for j, col in enumerate(h):
         for i in col:
@@ -100,8 +80,7 @@ def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int,
             elif i in dst:
                 del dst[i]
                 support[i].discard(j)
-        if track_u:
-            _col_addmul(u[j], u[jp], factor)
+        _col_addmul(u[j], u[jp], factor)
 
     def swap(a: int, b: int) -> None:
         for i in h[a]:
@@ -116,8 +95,7 @@ def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int,
             support[i].add(a)
             support[i].add(b)
         h[a], h[b] = h[b], h[a]
-        if track_u:
-            u[a], u[b] = u[b], u[a]
+        u[a], u[b] = u[b], u[a]
 
     pivots: list[tuple[int, int]] = []
     r = 0
@@ -144,8 +122,7 @@ def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int,
             swap(r, jp)
         if h[r][i] < 0:
             _col_negate(h[r])
-            if track_u:
-                _col_negate(u[r])
+            _col_negate(u[r])
         piv = h[r][i]
         for j in [j for j in support[i] if j < r]:
             q = h[j][i] // piv
@@ -156,51 +133,35 @@ def hnf_sparse(cols: list[dict[int, int]], n_rows: int, n_cols: int,
     return HnfResult(n_rows, n_cols, h, u, pivots)
 
 
-def hnf_from_rows(rows: Sequence[Sequence[int]], track_u: bool = True) -> HnfResult:
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    return hnf_sparse(columns_from_rows(rows, n_cols), n_rows, n_cols, track_u)
-
-
-def hnf_from_sparse_rows(srows: Sequence[dict[int, int]], n_cols: int,
-                         track_u: bool = True) -> HnfResult:
-    cols: list[dict[int, int]] = [dict() for _ in range(n_cols)]
-    for i, row in enumerate(srows):
-        for j, v in row.items():
-            if v:
-                cols[j][i] = v
-    return hnf_sparse(cols, len(srows), n_cols, track_u)
-
-
 def solve_hnf(res: HnfResult, rhs: Sequence[int]) -> list[int] | None:
-    """Solve M x = rhs given an HnfResult for M; None when no integer solution."""
+    """Solve M x = rhs given an HnfResult for M; None when no integer solution.
+
+    Forward substitution by columns on H y = rhs, then x = U y.  Pivot
+    column c is zero above its pivot row (the staircase), so once the rows
+    above are done, the residual at c's pivot row fixes y_c, and y_c H[:, c]
+    is subtracted from the one residual vector.  A row without a pivot must
+    be left with a zero residual.
+    """
+    residual = list(rhs)
+    piv_at_row = dict(res.pivots)
     y: dict[int, int] = {}
-    piv_at_row = {i: c for (i, c) in res.pivots}
     for i in range(res.n_rows):
-        s = rhs[i]
+        s = residual[i]
         c = piv_at_row.get(i)
         if c is None:
-            # Row has no pivot: residual must vanish.
-            for cc, yv in y.items():
-                v = res.h_cols[cc].get(i)
-                if v:
-                    s -= v * yv
             if s:
                 return None
             continue
-        for cc, yv in y.items():
-            if cc == c:
-                continue
-            v = res.h_cols[cc].get(i)
-            if v:
-                s -= v * yv
-        piv = res.h_cols[c][i]
-        if s % piv:
+        col = res.h_cols[c]
+        yc, rem = divmod(s, col[i])
+        if rem:
             return None
-        y[c] = s // piv
+        if yc:
+            y[c] = yc
+            for k, v in col.items():
+                residual[k] -= v * yc
     x = [0] * res.n_cols
     for c, yv in y.items():
-        if yv:
-            for k, uv in res.u_cols[c].items():
-                x[k] += uv * yv
+        for k, uv in res.u_cols[c].items():
+            x[k] += uv * yv
     return x

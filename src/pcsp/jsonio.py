@@ -91,6 +91,15 @@ def _scalar(v, path: str):
     return v
 
 
+def _distinct_scalars(obj, path: str) -> tuple:
+    out: list = []
+    for i, v in enumerate(_expect(obj, list, path, "a list")):
+        if _scalar(v, f"{path}[{i}]") in out:
+            raise SchemaError(f"{path}[{i}]", f"repeated value {v!r}")
+        out.append(v)
+    return tuple(out)
+
+
 def _int_list(obj, path: str) -> list[int]:
     _expect(obj, list, path, "a list")
     return [_expect(v, int, f"{path}[{i}]", "an int") for i, v in enumerate(obj)]
@@ -129,10 +138,8 @@ def template_from_json(obj) -> PromiseTemplate:
     _expect_keys(obj, "$", ("domains", "phi", "constraints"))
     doms = _expect(obj["domains"], dict, "$.domains", "an object")
     _expect_keys(doms, "$.domains", ("D", "E"))
-    D = tuple(_scalar(v, f"$.domains.D[{i}]")
-              for i, v in enumerate(_expect(doms["D"], list, "$.domains.D", "a list")))
-    E = tuple(_scalar(v, f"$.domains.E[{i}]")
-              for i, v in enumerate(_expect(doms["E"], list, "$.domains.E", "a list")))
+    D = _distinct_scalars(doms["D"], "$.domains.D")
+    E = _distinct_scalars(doms["E"], "$.domains.E")
     phi = {}
     for i, pair in enumerate(_expect(obj["phi"], list, "$.phi", "a list of pairs")):
         _expect(pair, list, f"$.phi[{i}]", "a [d, e] pair")
@@ -149,6 +156,8 @@ def template_from_json(obj) -> PromiseTemplate:
         _expect(c, dict, p, "a constraint object")
         _expect_keys(c, p, ("name", "arity", "P", "Q"))
         name = _expect(c["name"], str, f"{p}.name", "a string")
+        if any(r.name == name for r in rels):
+            raise SchemaError(f"{p}.name", f"repeated relation name {name!r}")
         arity = _expect(c["arity"], int, f"{p}.arity", "an int")
         if arity < 1:
             raise SchemaError(f"{p}.arity", "arity must be positive")

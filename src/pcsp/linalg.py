@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .inthnf import HnfResult, hnf_from_sparse_rows, solve_hnf
+from .inthnf import HnfResult, hnf_sparse, solve_hnf
 from .rings import (
     LatticeIdeal,
     LatticeQuotientElem,
@@ -28,13 +28,6 @@ from .rings import (
 from .simplex import OPTIMAL, solve_inequality_lp
 
 Coef = int | Fraction
-
-
-def value_sign(v) -> int:
-    """Exact sign of an int, Fraction, or QuadElem."""
-    if isinstance(v, QuadElem):
-        return v.sign()
-    return -1 if v < 0 else (0 if v == 0 else 1)
 
 
 def _split_point(point: Sequence) -> tuple[int, int | None, list, list | None]:
@@ -189,9 +182,11 @@ class IntegerSolver:
         col_pos = [0] * n_vars
         for pos, j in enumerate(self.col_order):
             col_pos[j] = pos
-        permuted = [{col_pos[j]: c for j, c in srows[i].items()}
-                    for i in self.row_order]
-        self.result: HnfResult = hnf_from_sparse_rows(permuted, n_vars, track_u=True)
+        cols: list[dict[int, int]] = [dict() for _ in range(n_vars)]
+        for pos, i in enumerate(self.row_order):
+            for j, c in srows[i].items():
+                cols[col_pos[j]][pos] = c
+        self.result: HnfResult = hnf_sparse(cols, len(srows), n_vars)
 
     def solve(self, rhs: Sequence[int]) -> list[int] | None:
         pr = [_integral(rhs[i]) for i in self.row_order]
@@ -209,11 +204,6 @@ class IntegerSolver:
         for col in self.result.kernel_columns():
             out.append({self.col_order[p]: v for p, v in col.items()})
         return out
-
-
-def solve_integer_system(srows: Sequence[Mapping[int, int]], rhs: Sequence[int],
-                         n_vars: int) -> list[int] | None:
-    return IntegerSolver(srows, n_vars).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,51 +272,36 @@ def solve_lattice_quotient_system(srows: Sequence[Mapping[int, int]],
 
     A coefficient is either an int (acting on every coordinate) or a
     length-b integer tuple, which multiplies componentwise the way a ring
-    constant does.  Variable x_j takes the integer columns j*b .. j*b+b-1.
-    One slack column per equation and coordinate, with coefficient d_k,
-    handles the congruence exactly.
+    constant does.  Variable x_j takes the integer columns j*b .. j*b+b-1,
+    and equation i, coordinate k becomes integer row i*b + k; the rows are
+    built once.  Over a prime Z/p they go to GF(p) elimination as they are.
+    Otherwise row r gains one slack column, with coefficient d_(r mod b),
+    which handles the congruence exactly, and the HNF solves over Z.
     """
     b = lattice.dim
-    m = len(srows)
-    slack_base = n_vars * b
-
-    modulus = lattice.diag[0] if b == 1 else 0
-    if b == 1 and _is_small_prime(modulus):
-        # rank-1 prime quotient: plain elimination over GF(p) replaces the
-        # integer normal-form machinery (same verdicts, much cheaper)
-        rows1: list[dict[int, int]] = []
-        rhs1: list[int] = []
-        for i in range(m):
-            if rhs[i].lattice != lattice:
-                raise ValueError("rhs lattice mismatch")
-            row1: dict[int, int] = {}
-            for j, c in srows[i].items():
-                cc = c[0] if isinstance(c, tuple) else c
-                if cc % modulus:
-                    row1[j] = cc % modulus
-            rows1.append(row1)
-            rhs1.append(rhs[i].vector[0])
-        sol1 = _solve_mod_p(rows1, rhs1, slack_base, modulus)
-        if sol1 is None:
-            return None
-        return [lattice.element((sol1[j],)) for j in range(n_vars)]
-
-    out_rows: list[dict[int, int]] = []
-    out_rhs: list[int] = []
-    for i in range(m):
+    n_cols = n_vars * b
+    rows: list[dict[int, int]] = []
+    values: list[int] = []
+    for i, srow in enumerate(srows):
         if rhs[i].lattice != lattice:
             raise ValueError("rhs lattice mismatch")
         for coord in range(b):
             row: dict[int, int] = {}
-            for j, c in srows[i].items():
+            for j, c in srow.items():
                 cc = c[coord] if isinstance(c, tuple) else c
                 if cc:
                     row[j * b + coord] = cc
-            row[slack_base + i * b + coord] = lattice.diag[coord]
-            out_rows.append(row)
-            out_rhs.append(rhs[i].vector[coord])
-    width = slack_base + m * b
-    sol = solve_integer_system(out_rows, out_rhs, width)
+            rows.append(row)
+            values.append(rhs[i].vector[coord])
+
+    if b == 1 and _is_small_prime(lattice.diag[0]):
+        # rank-1 prime quotient: plain elimination over GF(p) replaces the
+        # integer normal-form machinery (same verdicts, much cheaper)
+        sol = _solve_mod_p(rows, values, n_cols, lattice.diag[0])
+    else:
+        for k, row in enumerate(rows):
+            row[n_cols + k] = lattice.diag[k % b]
+        sol = IntegerSolver(rows, n_cols + len(rows)).solve(values)
     if sol is None:
         return None
     return [lattice.element(tuple(sol[j * b:j * b + b])) for j in range(n_vars)]

@@ -56,6 +56,11 @@ class PromiseTemplate:
     relations: tuple[Relation, ...]
 
     def __post_init__(self):
+        for what, values in (("strong value", self.domain),
+                             ("weak value", self.codomain),
+                             ("relation name", [r.name for r in self.relations])):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {what}")
         for d in self.domain:
             if d not in self.phi:
                 raise ValueError(f"phi undefined on {d!r}")

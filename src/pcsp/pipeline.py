@@ -22,7 +22,7 @@ from math import floor
 from typing import Mapping, Sequence
 
 from .families import scan_valid_arity
-from .linalg import solve_lattice_quotient_system, value_sign
+from .linalg import solve_lattice_quotient_system
 from .lp import (STATUS_EMPTY, STATUS_NO_RING_POINT, STATUS_OK, rational_core,
                  ring_feasible_point)
 from .model import (
@@ -266,14 +266,14 @@ def construct_weights(alphas: Sequence, residues: Sequence[int], L: int,
         raise ValueError("multiplier count mismatch")
     if L < modulus * m:
         raise ValueError(f"arity {L} below the weight guard {modulus * m}")
-    if value_sign(sum(alphas[1:], alphas[0]) - 1) != 0:
+    if sum(alphas[1:], alphas[0]) != 1:
         raise ValueError("clause multipliers do not sum to one")
     anchors = [r * L % modulus for r in residues]
     if (L - sum(anchors)) % modulus:
         raise ValueError("residues do not sum to one mod the quotient")
     bases = []
     for a, c in zip(alphas, anchors):
-        if value_sign(a) < 0:
+        if a < 0:
             raise ValueError("negative clause multiplier")
         base = floor(a * L)
         w = base - ((base - c) % modulus)

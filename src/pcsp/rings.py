@@ -18,7 +18,7 @@ from itertools import product
 from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
-from .inthnf import hnf_from_rows
+from .inthnf import hnf_sparse
 
 
 class RingMismatchError(ValueError):
@@ -293,14 +293,16 @@ class LatticeIdeal:
         b = len(gens[0])
         if any(len(g) != b for g in gens):
             raise ValueError("generator length mismatch")
-        # Columns of the matrix are the generators: rows[i][k] = gens[k][i].
-        rows = [[g[i] for g in gens] for i in range(b)]
-        res = hnf_from_rows(rows, track_u=False)
+        # The generators are the columns; at full rank the Hermite columns
+        # past the b-th are zero and column i is zero above row i.
+        res = hnf_sparse([{i: v for i, v in enumerate(g) if v} for g in gens],
+                         b, len(gens))
         if res.rank != b:
             raise ValueError("lattice is not full rank (quotient would be infinite)")
-        h = res.h_dense()
-        if any(h[i][j] for i in range(b) for j in range(b) if i != j):
-            raise ValueError(f"lattice is not an ideal of Z^b: Hermite form {h}")
+        h = res.h_cols
+        if any(len(h[i]) != 1 for i in range(b)):
+            dense = [[col.get(i, 0) for col in h] for i in range(b)]
+            raise ValueError(f"lattice is not an ideal of Z^b: Hermite form {dense}")
         self.dim = b
         self.diag = tuple(h[i][i] for i in range(b))
 

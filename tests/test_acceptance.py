@@ -19,7 +19,7 @@ import pytest
 
 from pcsp import corpus
 from pcsp.families import PeriodicFamily
-from pcsp.linalg import (InequalitySystem, solve_integer_system,
+from pcsp.linalg import (InequalitySystem, IntegerSolver,
                          solve_lattice_quotient_system)
 from pcsp.lp import STATUS_NO_RING_POINT, STATUS_OK, ring_feasible_point
 from pcsp.model import (Instance, PromiseTemplate, Relation,
@@ -309,7 +309,7 @@ def test_criterion_8_solver_oracle_agreement():
             rhs = [sum(c * z[j] for j, c in r.items()) for r in rows]
         else:
             rhs = [rng.randrange(-4, 5) for _ in range(m)]
-        sol = solve_integer_system(rows, rhs, n)
+        sol = IntegerSolver(rows, n).solve(rhs)
         a = np.array([[r.get(j, 0) for j in range(n)] for r in rows])
         feasible_in_box = bool(
             np.all(grids[n] @ a.T == np.array(rhs), axis=1).any())

@@ -230,9 +230,37 @@ def test_solve_periodic_and_simplex_paths(tmp_path, capsys):
     assert code == 0
 
 
-def test_gen_rejects_bad_sizes(capsys):
+def test_gen_rejects_bad_sizes(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "twosat", "--n", "0", "--m", "2")
     assert code == 2 and "n >= 1" in err
+    # the planter's refusals: fewer variables than a clause's arity, and
+    # values too scarce to spell a strong tuple (one in 64^2 draws does)
+    code, out, err = run(capsys, "gen", "didactic", "--n", "3", "--m", "2")
+    assert code == 2 and out == "" and "not enough variables" in err
+    dom = tuple(range(64))
+    scarce = PromiseTemplate(dom, dom, {d: d for d in dom}, (
+        Relation("zeros", 2, frozenset({(0, 0)}), frozenset({(0, 0)})),))
+    tpl = tmp_path / "t.json"
+    tpl.write_text(jsonio.dumps(jsonio.template_to_json(scarce)))
+    code, out, err = run(capsys, "gen", str(tpl), "--n", "2", "--m", "1")
+    assert code == 2 and out == "" and "too scarce" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "mod7-sandwich", "maj", "INST"),
+    ("relax", "mod7-sandwich", "maj", "INST", "--dump", "lp"),
+    ("check-pol", "mod7-sandwich", "maj", "--arity", "3"),
+], ids=["solve", "relax", "check-pol"])
+def test_family_off_the_template_domain_exits_two(tmp_path, capsys, argv):
+    inst = tmp_path / "i.json"
+    code, out, _ = run(capsys, "gen", "mod7-sandwich", "--n", "6", "--m", "3")
+    assert code == 0
+    inst.write_text(out)
+    code, out, err = run(capsys, *(str(inst) if a == "INST" else a
+                                   for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "domain" in err
 
 
 def test_internal_error_exits_three(tmp_path, capsys):

@@ -5,8 +5,29 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pcsp.inthnf import (columns_from_rows, hnf_from_rows, rows_from_columns,
-                         solve_hnf)
+from pcsp.inthnf import hnf_sparse, solve_hnf
+
+
+def columns_from_rows(rows, n_cols):
+    cols = [dict() for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][i] = v
+    return cols
+
+
+def rows_from_columns(cols, n_rows):
+    rows = [[0] * len(cols) for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+def hnf_from_rows(rows):
+    n_cols = len(rows[0]) if rows else 0
+    return hnf_sparse(columns_from_rows(rows, n_cols), len(rows), n_cols)
 
 
 def mat_mul(a, b):
@@ -45,7 +66,7 @@ def test_hnf_reproduces_matrix_via_u():
         m = rng.randint(1, 5)
         mat = random_matrix(rng, n, m)
         res = hnf_from_rows(mat)
-        h = res.h_dense()
+        h = rows_from_columns(res.h_cols, res.n_rows)
         u = rows_from_columns(res.u_cols, res.n_cols)
         assert mat_mul(mat, u) == h
         assert abs(det_fraction(u)) == 1
@@ -58,7 +79,7 @@ def test_hnf_shape_invariants():
         m = rng.randint(1, 6)
         mat = random_matrix(rng, n, m)
         res = hnf_from_rows(mat)
-        h = res.h_dense()
+        h = rows_from_columns(res.h_cols, res.n_rows)
         # pivots strictly descend the rows as columns advance
         prev_row = -1
         for (r, c), idx in zip(res.pivots, range(len(res.pivots))):

@@ -114,6 +114,26 @@ def test_repeated_phi_value_rejected():
         template_from_json(doc)
 
 
+@pytest.mark.parametrize("where, path", [
+    ("D", r"\$\.domains\.D\[2\]"),
+    ("E", r"\$\.domains\.E\[2\]"),
+    ("name", r"\$\.constraints\[1\]\.name"),
+], ids=["D", "E", "name"])
+def test_repeated_template_entry_rejected(where, path):
+    doc = {
+        "domains": {"D": [0, 1], "E": [0, 1]},
+        "phi": [[0, 0], [1, 1]],
+        "constraints": [{"name": n, "arity": 2, "P": [[0, 1], [1, 0]],
+                         "Q": [[0, 1], [1, 0]]} for n in ("r", "s")],
+    }
+    if where == "name":
+        doc["constraints"][1]["name"] = "r"
+    else:
+        doc["domains"][where].append(0)
+    with pytest.raises(SchemaError, match=f"^{path}: repeated"):
+        template_from_json(doc)
+
+
 def test_repeated_quotient_label_rejected():
     doc = family_to_json(two_block_regper())
     doc["quotients"].append({**doc["quotients"][1],

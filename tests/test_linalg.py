@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from pcsp import corpus, linalg
-from pcsp.inthnf import hnf_from_sparse_rows, solve_hnf
+from pcsp.inthnf import hnf_sparse, solve_hnf
 from pcsp.linalg import (
     InequalitySystem,
     IntegerSolver,
     _solve_mod_p,
     affine_hull_and_interior,
-    solve_integer_system,
     solve_lattice_quotient_system,
 )
 from pcsp.model import build_basic_lp, plant_satisfiable_instance
@@ -114,7 +113,7 @@ def test_integer_solve_planted():
         rows = rand_sparse_rows(rng, m, n)
         x = [rng.randint(-9, 9) for _ in range(n)]
         rhs = [dot(r, x) for r in rows]
-        got = solve_integer_system(rows, rhs, n)
+        got = IntegerSolver(rows, n).solve(rhs)
         assert got is not None
         assert all(isinstance(v, int) for v in got)
         for r, b in zip(rows, rhs):
@@ -123,20 +122,20 @@ def test_integer_solve_planted():
 
 def test_integer_solve_gaps():
     # rationally solvable, integrally not
-    assert solve_integer_system([{0: 2}], [1], 1) is None
+    assert IntegerSolver([{0: 2}], 1).solve([1]) is None
     assert solve_field_system([{0: 2}], [1], 1) == [Fraction(1, 2)]
     # 2x + 4y = 6 has integer solutions, = 7 does not, = 5 neither
-    assert solve_integer_system([{0: 2, 1: 4}], [6], 2) is not None
-    assert solve_integer_system([{0: 2, 1: 4}], [7], 2) is None
+    assert IntegerSolver([{0: 2, 1: 4}], 2).solve([6]) is not None
+    assert IntegerSolver([{0: 2, 1: 4}], 2).solve([7]) is None
 
 
 def test_integer_solver_refuses_fractions():
     # (3/2) x = 3 has x = 2; truncating the coefficient to 1 answered x = 3
     with pytest.raises(ValueError):
-        solve_integer_system([{0: Fraction(3, 2)}], [3], 1)
+        IntegerSolver([{0: Fraction(3, 2)}], 1).solve([3])
     with pytest.raises(ValueError):
         IntegerSolver([{0: 2}], 1).solve([Fraction(1, 2)])
-    assert solve_integer_system([{0: Fraction(4, 2)}], [Fraction(6, 1)], 1) == [3]
+    assert IntegerSolver([{0: Fraction(4, 2)}], 1).solve([Fraction(6, 1)]) == [3]
 
 
 def test_integer_solve_permutation_invariance():
@@ -148,7 +147,9 @@ def test_integer_solve_permutation_invariance():
         rhs = [rng.randint(-8, 8) for _ in range(m)]
         a = IntegerSolver(rows, n).solve(rhs)
         # reference: the HNF of the rows in their given order
-        b = solve_hnf(hnf_from_sparse_rows(rows, n, track_u=True), rhs)
+        cols = [{i: r[j] for i, r in enumerate(rows) if r.get(j)}
+                for j in range(n)]
+        b = solve_hnf(hnf_sparse(cols, m, n), rhs)
         assert (a is None) == (b is None)
         for got in (a, b):
             if got is not None:

@@ -82,6 +82,19 @@ def test_template_rejects_off_domain_tuples():
         ident_template([bool_rel("bad", [(0, 2)])])
 
 
+@pytest.mark.parametrize("domain, codomain, names", [
+    ((0, 0, 1), (0, 1), ("r", "s")),
+    ((0, 1), (0, 1, 1), ("r", "s")),
+    ((0, 1), (0, 1), ("r", "r")),
+], ids=["strong-value", "weak-value", "relation-name"])
+def test_template_rejects_repeats(domain, codomain, names):
+    # a repeated value is counted twice by the LP layout's slots, and
+    # clauses naming a repeated relation all bind to its first copy
+    rels = tuple(bool_rel(n, [(0, 1), (1, 0)]) for n in names)
+    with pytest.raises(ValueError, match="repeated"):
+        PromiseTemplate(domain, codomain, {0: 0, 1: 1}, rels)
+
+
 def test_relation_rejects_arity_mismatch():
     with pytest.raises(ValueError):
         Relation("bad", 2, frozenset({(0, 1, 0)}), frozenset({(0, 1, 0)}))

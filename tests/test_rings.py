@@ -271,6 +271,30 @@ def test_ideal_from_non_diagonal_generators():
     assert j.canonicalize((3, -1)) == (1, 1)
 
 
+def test_ideal_from_more_generators_than_coordinates():
+    # oracle without a Hermite form: the generators span a sublattice of
+    # d_1 Z x d_2 Z, d_i the gcd of coordinate i, and equal it iff both
+    # have the same index, the gcd of the 2 x 2 minors against d_1 d_2
+    rng = random.Random(127)
+    accepted = refused = 0
+    while accepted + refused < 200:
+        gens = [(rng.randint(-6, 6), rng.randint(-6, 6))
+                for _ in range(rng.randint(3, 4))]
+        index = math.gcd(*(u[0] * v[1] - u[1] * v[0]
+                           for k, u in enumerate(gens) for v in gens[k + 1:]))
+        if index == 0:
+            continue
+        diag = tuple(math.gcd(*(g[i] for g in gens)) for i in range(2))
+        if index == diag[0] * diag[1]:
+            assert LatticeIdeal(gens).diag == diag
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="not an ideal"):
+                LatticeIdeal(gens)
+            refused += 1
+    assert accepted > 20 and refused > 20
+
+
 def test_intersect_ideals():
     a = LatticeIdeal([[2, 0], [0, 4]])
     b = LatticeIdeal([[4, 0], [0, 2]])
