@@ -23,7 +23,7 @@ from .lp import STATUS_OK, ring_feasible_point
 from .model import (build_affine_relaxation, build_basic_lp,
                     check_polymorphism, plant_satisfiable_instance,
                     verify_assignment)
-from .pipeline import LP_REJECTS, relaxation_plan, solve
+from .pipeline import LP_REJECTS, solve
 from .rings import QuadRing, validate_radicand
 
 
@@ -68,12 +68,17 @@ def load_family(arg: str):
 
 
 def _load_pair(template_arg: str, family_arg: str):
-    """The template and the family, which must share the strong domain."""
+    """The template and the family, which must share the strong domain; the
+    family's outputs must lie in the template's weak domain."""
     template = load_template(template_arg)
     family = load_family(family_arg)
     if tuple(family.domain) != tuple(template.domain):
         raise CliError(f"family {family_arg!r} has domain {list(family.domain)}, "
                        f"template {template_arg!r} has {list(template.domain)}")
+    if not set(family.outputs()) <= set(template.codomain):
+        raise CliError(f"family {family_arg!r} has outputs "
+                       f"{list(family.outputs())}, outside the weak domain "
+                       f"{list(template.codomain)} of template {template_arg!r}")
     return template, family
 
 
@@ -167,7 +172,7 @@ def _cmd_gen(args) -> int:
 def _cmd_relax(args) -> int:
     template, family = _load_pair(args.template, args.family)
     instance = load_instance(args.instance, template)
-    plan = relaxation_plan(family)
+    plan = family.plan
     if args.dump == "lp":
         if not plan.radicands:
             raise CliError("purely periodic families have no LP relaxation")
@@ -177,8 +182,7 @@ def _cmd_relax(args) -> int:
     # affine equation dump
     if plan.lattice is None:
         raise CliError(f"{family.kind} families have no affine relaxation")
-    aff = build_affine_relaxation(template, instance, plan.lattice,
-                                  plan.affine_embedding)
+    aff = build_affine_relaxation(template, instance, plan.lattice)
     print(jsonio.dumps(jsonio.affine_to_json(aff)), end="")
     return 0
 

@@ -5,6 +5,12 @@ valid arity) together with the matching rounding rule for exact relaxation
 output.  The member at arity L and the rounding rule make the same decision,
 the member from integer block weights, the rounder from ring values, so
 outputs justified through the member transfer to rounded solver output.
+
+Every kind is a special case of the region-periodic rule: a region read from
+the LP point, a residue from the affine point.  So each family names the
+relaxations it reads in `plan`, and `round(point, w)` takes a variable's LP
+coordinates over all radicands (empty without an LP) and its affine value
+(None without a lattice); the solver never asks which kind it holds.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Mapping, Sequence
 
 from .model import BlockSymmetricFunction
 from .rings import (
+    LatticeIdeal,
     LatticeQuotientElem,
     SqrtExpr,
     intersect_ideals,
@@ -32,6 +39,23 @@ class InvalidArityError(ValueError):
 
 class PartitionError(ValueError):
     """A point fell on a cell boundary or outside every cell."""
+
+
+@dataclass(frozen=True)
+class RelaxationPlan:
+    """One basic LP over `lp_embedding`, lifted into the ring of each
+    radicand (none when `radicands` is empty), then at most one affine
+    relaxation over `lattice` (none when it is None).  A family builds its
+    plan on first use, so the lattice's HNF runs once per family.
+    """
+
+    radicands: tuple[int, ...]
+    lp_embedding: Mapping | None
+    lattice: LatticeIdeal | None
+
+
+# the 0/1 domain of threshold and region families, embedded as itself
+_SCALAR = {0: (Fraction(0),), 1: (Fraction(1),)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +365,12 @@ class ThresholdFamily:
     def member(self, L: int) -> BlockSymmetricFunction:
         return _build_member(self, _one_block(L))
 
-    def round(self, v):
-        return self.eta[interval_index(self.thresholds, v)]
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        return RelaxationPlan((self.radicand,), _SCALAR, None)
+
+    def round(self, point: Sequence, w):
+        return self.eta[interval_index(self.thresholds, point[0])]
 
 
 @dataclass(frozen=True)
@@ -381,7 +409,11 @@ class PeriodicFamily:
     def member(self, L: int) -> BlockSymmetricFunction:
         return _build_member(self, _one_block(L))
 
-    def round(self, w):
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        return RelaxationPlan((), None, LatticeIdeal([(self.modulus,)]))
+
+    def round(self, point: Sequence, w):
         """A member at L = residue (mod M) sees column sums residue * w."""
         return self.eta[self.residue * _residue(w, self.modulus) % self.modulus]
 
@@ -397,7 +429,7 @@ class ThresholdPeriodicFamily:
     radicand: int = 2
     name: str = "thr-per"
 
-    kind = "thr-per"
+    kind = "thrper"
     domain = (0, 1)
 
     def __post_init__(self):
@@ -436,9 +468,14 @@ class ThresholdPeriodicFamily:
     def member(self, L: int) -> BlockSymmetricFunction:
         return _build_member(self, _one_block(L))
 
-    def round(self, v, w):
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        return RelaxationPlan((self.radicand,), _SCALAR,
+                              LatticeIdeal([(self.period,)]))
+
+    def round(self, point: Sequence, w):
         """A member at L = residue (mod period) sees ones counts residue * w."""
-        i = interval_index(self.thresholds, v)
+        i = interval_index(self.thresholds, point[0])
         ones = self.residue * _residue(w, self.period) % self.period
         return self.etas[i][ones % self.moduli[i]]
 
@@ -527,7 +564,11 @@ class RegionFamily(_PartitionFamily):
     def member(self, L: int) -> BlockSymmetricFunction:
         return self._member(L)
 
-    def round(self, point: Sequence):
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        return RelaxationPlan(self.radicands, _SCALAR, None)
+
+    def round(self, point: Sequence, w):
         return evaluate_partition(self.partition, point)
 
 
@@ -537,9 +578,8 @@ class RegionPeriodicFamily(_PartitionFamily):
     block-weight vector.
 
     Each cell lattice is an ideal of Z^b, so each cell quotient is a product
-    ring Z/d_1 x ... x Z/d_b.  `affine_lattice`, the intersection of the cell
-    lattices, is the quotient the affine relaxation is solved over; it is
-    computed once, here.
+    ring Z/d_1 x ... x Z/d_b.  The plan's lattice, the intersection of the
+    cell lattices, is the quotient the affine relaxation is solved over.
     """
 
     partition: PartitionSpec
@@ -548,7 +588,7 @@ class RegionPeriodicFamily(_PartitionFamily):
     name: str = "reg-per"
     arity_hint: object = None      # optional predicate certifying valid arities
 
-    kind = "reg-per"
+    kind = "regper"
     domain = (0, 1)
 
     def __post_init__(self):
@@ -560,8 +600,6 @@ class RegionPeriodicFamily(_PartitionFamily):
                 raise ValueError(f"label {label}: lattice dimension mismatch")
             if set(eta) != set(lat.cosets()):
                 raise ValueError(f"label {label}: eta must cover every coset")
-        object.__setattr__(self, "affine_lattice", intersect_ideals(
-            [lat for lat, _ in self.cell_data.values()]))
 
     def outputs(self) -> tuple:
         return tuple(sorted({v for _, eta in self.cell_data.values()
@@ -574,6 +612,11 @@ class RegionPeriodicFamily(_PartitionFamily):
 
     def member(self, L: int) -> BlockSymmetricFunction:
         return self._member(L)
+
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        return RelaxationPlan(self.radicands, _SCALAR, intersect_ideals(
+            [lat for lat, _ in self.cell_data.values()]))
 
     def round(self, point: Sequence, w: LatticeQuotientElem):
         label = evaluate_partition(self.partition, point)
@@ -611,7 +654,13 @@ class SimplexFamily(_PartitionFamily):
     def member(self, L: int) -> BlockSymmetricFunction:
         return self._member(L)
 
-    def round(self, point: Sequence):
+    @cached_property
+    def plan(self) -> RelaxationPlan:
+        one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in self.domain)
+                   for d in self.domain}
+        return RelaxationPlan((self.radicand,), one_hot, None)
+
+    def round(self, point: Sequence, w):
         return evaluate_partition(self.partition, point)
 
 

@@ -323,10 +323,6 @@ def _partition_from_json(obj, path: str, dim: int) -> PartitionSpec:
 # Families
 # ---------------------------------------------------------------------------
 
-_KIND_TO_JSON = {"thr": "thr", "per": "per", "thr-per": "thrper",
-                 "reg": "reg", "reg-per": "regper", "simplex": "simplex"}
-_KIND_FROM_JSON = {v: k for k, v in _KIND_TO_JSON.items()}
-
 
 def _rings_to_json(radicands) -> list:
     return [{"q": int(q)} for q in radicands]
@@ -352,7 +348,7 @@ def _diagonal_matrix(lat: LatticeIdeal) -> list:
 
 
 def family_to_json(f) -> dict:
-    kind = _KIND_TO_JSON[f.kind]
+    kind = f.kind          # each family class's kind is its JSON tag
     out: dict = {"kind": kind, "name": f.name}
     if kind == "thr":
         out["thresholds"] = [rat_to_json(t) for t in f.thresholds]
@@ -402,7 +398,7 @@ def _family_ctor(ctor, path, *args, **kwargs):
 def family_from_json(obj):
     _expect(obj, dict, "$", "a family object")
     kind = obj.get("kind")
-    if kind not in _KIND_FROM_JSON:
+    if kind not in ("thr", "per", "thrper", "reg", "regper", "simplex"):
         raise SchemaError("$.kind", f"unknown family kind {kind!r}")
     name = obj.get("name", kind)
     _expect(name, str, "$.name", "a string")

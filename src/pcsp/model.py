@@ -126,7 +126,9 @@ def plant_satisfiable_instance(template: PromiseTemplate, n_vars: int,
     variables whose hidden values spell exactly that tuple, so the instance
     is satisfiable by construction.
     """
-    max_arity = max(rel.arity for rel in template.relations)
+    if n_clauses and not template.relations:
+        raise ValueError("the template has no constraints to plant from")
+    max_arity = max((rel.arity for rel in template.relations), default=0)
     if n_vars < max_arity:
         raise ValueError("not enough variables for distinct-variable clauses")
     for _ in range(200):
@@ -468,20 +470,17 @@ class AffineSystem:
 
 
 def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
-                            lattice: LatticeIdeal,
-                            embedding: Mapping) -> AffineSystem:
+                            lattice: LatticeIdeal) -> AffineSystem:
     """Affine relaxation over Z^b / J: per clause, ring multipliers over the
     strong tuples that sum to one and reproduce each position's embedded
     variable value.
 
-    `embedding` maps strong values to length-b integer vectors; coefficients
-    on multiplier variables are per-coordinate (ring multiplication by a
-    constant is componentwise).
+    Each strong value d, an integer, is embedded as the vector (d, ..., d)
+    of length b; coefficients on multiplier variables are per-coordinate
+    (ring multiplication by a constant is componentwise).
     """
     b = lattice.dim
-    emb = {d: tuple(int(c) for c in embedding[d]) for d in template.domain}
-    if any(len(t) != b for t in emb.values()):
-        raise ValueError("embedding does not match the lattice dimension")
+    emb = {d: (int(d),) * b for d in template.domain}
     n = instance.n_vars
     layout = AffineLayout(n, lattice)
     col = n

@@ -1,13 +1,12 @@
 """Relax-and-round solving: exact relaxations, rounding, and weight oracles.
 
-`solve` dispatches on the family kind.  Every kind but the periodic one reads
-embedded variable values from ring points of the basic LP: one rational core
-per instance, lifted once per radicand.
-Only the kinds with a periodic part (periodic, threshold-periodic and
-region-periodic) solve an affine relaxation over a finite quotient and read
-residues from it; threshold, region and simplex families are rounded from
-the LP alone.  An instance is rejected exactly when one of its relaxations
-is infeasible over its ring.
+`solve` runs the relaxations the family's `plan` names and never asks which
+kind of family it holds.  With radicands, it reads embedded variable values
+from ring points of the basic LP: one rational core per instance, lifted
+once per radicand.  With a lattice, it solves an affine relaxation over that
+finite quotient and reads residues from it.  Each variable is then rounded
+by one `family.round(point, w)` call.  An instance is rejected exactly when
+one of its relaxations is infeasible over its ring.
 
 `construct_weights` and `weighted_apply_oracle` replay a rounded clause
 through an actual family member at a large valid arity, certifying that the
@@ -19,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .families import scan_valid_arity
+from .families import RelaxationPlan, scan_valid_arity
 from .linalg import solve_lattice_quotient_system
 from .lp import (STATUS_EMPTY, STATUS_NO_RING_POINT, STATUS_OK, rational_core,
                  ring_feasible_point)
@@ -35,7 +34,7 @@ from .model import (
     build_basic_lp,
     verify_assignment,
 )
-from .rings import LatticeIdeal, LatticeQuotientElem, QuadRing
+from .rings import LatticeQuotientElem, QuadRing
 
 REJECT_EMPTY_LP = "empty relaxation polytope"
 REJECT_NO_RING_POINT = "no ring point on affine hull"
@@ -50,12 +49,13 @@ class LpTranscript:
     point: list
 
     def clause_multipliers(self, j: int) -> dict:
-        base = {t: self.point[self.layout.lam_index(j, t)]
+        return {t: self.point[self.layout.lam_index(j, t)]
                 for t in self.layout.lam_tuples[j]}
-        return base
 
-    def variable_value(self, x: int, coord: int = 0):
-        return self.point[self.layout.v_index(x, coord)]
+    def values(self, x: int) -> tuple:
+        """Variable x's embedded coordinates."""
+        i = self.layout.v_index(x, 0)
+        return tuple(self.point[i:i + self.layout.coords])
 
 
 @dataclass
@@ -90,92 +90,10 @@ def _check_domain(template: PromiseTemplate, family) -> None:
         raise ValueError(
             f"family domain {family.domain} differs from template domain "
             f"{template.domain}")
-
-
-def _solve_affine(template: PromiseTemplate, instance: Instance,
-                  lattice: LatticeIdeal, embedding: Mapping
-                  ) -> AffineTranscript | None:
-    aff = build_affine_relaxation(template, instance, lattice, embedding)
-    sol = solve_lattice_quotient_system(aff.rows, aff.rhs, aff.layout.width,
-                                        lattice)
-    if sol is None:
-        return None
-    return AffineTranscript(aff, sol)
-
-
-# the 0/1 domain of threshold and region families, embedded as itself
-_SCALAR = {0: (Fraction(0),), 1: (Fraction(1),)}
-
-
-@dataclass(frozen=True)
-class RelaxationPlan:
-    """The relaxations a family kind is rounded from.
-
-    One basic LP over `lp_embedding`, lifted into the ring of each radicand
-    (none when `radicands` is empty), then at most one affine relaxation over
-    `lattice` (none when it is None).
-    """
-
-    radicands: tuple[int, ...]
-    lp_embedding: Mapping | None
-    lattice: LatticeIdeal | None
-    affine_embedding: Mapping | None
-
-
-def relaxation_plan(family) -> RelaxationPlan:
-    """Per-kind choice of radicands, embeddings and lattice.
-
-    Memoized in the family's own attribute dict, like `_cached_valid_member`,
-    so the plan's lattice HNF is built once per family, not once per solve
-    or replay.
-    """
-    memo = vars(family)
-    plan = memo.get("_relaxation_plan")
-    if plan is not None:
-        return plan
-    kind = family.kind
-    dom = family.domain
-    if kind == "thr":
-        plan = RelaxationPlan((family.radicand,), _SCALAR, None, None)
-    elif kind == "per":
-        plan = RelaxationPlan((), None, LatticeIdeal([(family.modulus,)]),
-                              {d: (d,) for d in dom})
-    elif kind == "thr-per":
-        plan = RelaxationPlan((family.radicand,), _SCALAR,
-                              LatticeIdeal([(family.period,)]),
-                              {d: (d,) for d in dom})
-    elif kind == "reg":
-        plan = RelaxationPlan(family.radicands, _SCALAR, None, None)
-    elif kind == "reg-per":
-        lattice = family.affine_lattice
-        plan = RelaxationPlan(family.radicands, _SCALAR, lattice,
-                              {d: (d,) * lattice.dim for d in dom})
-    elif kind == "simplex":
-        one_hot = {d: tuple(Fraction(1 if e == d else 0) for e in dom)
-                   for d in dom}
-        plan = RelaxationPlan((family.radicand,), one_hot, None, None)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    memo["_relaxation_plan"] = plan
-    return plan
-
-
-def _round_variable(family, x: int, lps: list[LpTranscript],
-                    aff: AffineTranscript | None):
-    kind = family.kind
-    if kind == "thr":
-        return family.round(lps[0].variable_value(x))
-    if kind == "per":
-        return family.round(aff.variable_value(x))
-    if kind == "thr-per":
-        return family.round(lps[0].variable_value(x), aff.variable_value(x))
-    if kind == "simplex":
-        return family.round(tuple(lps[0].variable_value(x, c)
-                                  for c in range(len(family.domain))))
-    point = tuple(lp.variable_value(x) for lp in lps)
-    if kind == "reg":
-        return family.round(point)
-    return family.round(point, aff.variable_value(x))
+    if not set(family.outputs()) <= set(template.codomain):
+        raise ValueError(
+            f"family outputs {family.outputs()} are not all in the template's "
+            f"weak domain {template.codomain}")
 
 
 def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
@@ -187,7 +105,7 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
     RoundingCheckError; no unverified assignment is accepted.
     """
     _check_domain(template, family)
-    plan = relaxation_plan(family)
+    plan = family.plan
     lps: list[LpTranscript] = []
     if plan.radicands:
         # the verdict, hull and integer point do not depend on the ring
@@ -202,11 +120,14 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
             lps.append(LpTranscript(layout, res.point))
     aff = None
     if plan.lattice is not None:
-        aff = _solve_affine(template, instance, plan.lattice,
-                            plan.affine_embedding)
-        if aff is None:
+        eqs = build_affine_relaxation(template, instance, plan.lattice)
+        sol = solve_lattice_quotient_system(eqs.rows, eqs.rhs, eqs.layout.width,
+                                            plan.lattice)
+        if sol is None:
             return SolveResult(False, reason=REJECT_AFFINE)
-    values = [_round_variable(family, x, lps, aff)
+        aff = AffineTranscript(eqs, sol)
+    values = [family.round(tuple(c for lp in lps for c in lp.values(x)),
+                           None if aff is None else aff.variable_value(x))
               for x in range(instance.n_vars)]
     bad = verify_assignment(template, instance, values, side="weak")
     if bad is not None:
@@ -388,7 +309,7 @@ def weighted_apply_oracle(template: PromiseTemplate, instance: Instance,
     rel = template.relations[cl.relation]
     tuples = sorted(rel.strong)
     expected = tuple(result.assignment[v] for v in cl.variables)
-    plan = relaxation_plan(family)
+    plan = family.plan
     minimum = _ARITY_FACTOR * _weight_guard(plan, len(tuples))
     last = None
     for _ in range(_MAX_ESCALATIONS):

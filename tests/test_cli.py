@@ -263,6 +263,39 @@ def test_family_off_the_template_domain_exits_two(tmp_path, capsys, argv):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "twosat", "fam-gL", "INST"),
+    ("relax", "twosat", "fam-gL", "INST", "--dump", "le"),
+    ("check-pol", "twosat", "fam-gL", "--arity", "3"),
+], ids=["solve", "relax", "check-pol"])
+def test_family_outputs_off_the_weak_domain_exit_two(tmp_path, capsys, argv):
+    # fam-gL reads the Boolean domain but outputs 0..3, and twosat's weak
+    # domain is {0, 1}: an input error, not a rounding failure
+    inst = tmp_path / "i.json"
+    code, out, _ = run(capsys, "gen", "twosat", "--n", "6", "--m", "3")
+    assert code == 0
+    inst.write_text(out)
+    code, out, err = run(capsys, *(str(inst) if a == "INST" else a
+                                   for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "outside the weak domain" in err
+
+
+def test_gen_on_a_template_without_constraints(tmp_path, capsys):
+    # no relation to plant from: no clauses is an empty instance, and any
+    # clause is an input error
+    empty = PromiseTemplate((0, 1), (0, 1), {0: 0, 1: 1}, ())
+    tpl = tmp_path / "t.json"
+    tpl.write_text(jsonio.dumps(jsonio.template_to_json(empty)))
+    code, out, err = run(capsys, "gen", str(tpl), "--n", "2", "--m", "0")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"n": 2, "clauses": []}
+    code, out, err = run(capsys, "gen", str(tpl), "--n", "2", "--m", "1")
+    assert code == 2 and out == ""
+    assert err == "error: the template has no constraints to plant from\n"
+
+
 def test_internal_error_exits_three(tmp_path, capsys):
     # the region-periodic reproduction of
     # test_pipeline::test_solve_refuses_an_assignment_off_the_weak_side:

@@ -26,7 +26,7 @@ from pcsp.families import (
     smallest_valid_arity,
 )
 from pcsp.model import PromiseTemplate, Relation, check_polymorphism
-from pcsp.pipeline import _weight_guard, relaxation_plan
+from pcsp.pipeline import _weight_guard
 from pcsp.rings import LatticeIdeal, QuadElem, SqrtExpr
 
 
@@ -74,8 +74,8 @@ def test_majority_member_values():
 
 def test_threshold_tie_goes_to_lower_interval():
     fam = ThresholdFamily((Fraction(1, 2),), ("lo", "hi"))
-    assert fam.round(Fraction(1, 2)) == "lo"
-    assert fam.round(Fraction(1, 2) + Fraction(1, 1000)) == "hi"
+    assert fam.round((Fraction(1, 2),), None) == "lo"
+    assert fam.round((Fraction(1, 2) + Fraction(1, 1000),), None) == "hi"
     f = fam.member(4)      # invalid arity, but the member is still defined
     assert f.table[((2, 2),)] == "lo"
 
@@ -84,8 +84,8 @@ def test_threshold_round_exact_on_ring_values():
     fam = ThresholdFamily((Fraction(1, 2),), (0, 1))
     just_below = QuadElem(-1, 1, 2)          # sqrt(2) - 1 = 0.414...
     just_above = QuadElem(2, -1, 2)          # 2 - sqrt(2) = 0.585...
-    assert fam.round(just_below) == 0
-    assert fam.round(just_above) == 1
+    assert fam.round((just_below,), None) == 0
+    assert fam.round((just_above,), None) == 1
     assert interval_index(fam.thresholds, just_below) == 0
     assert interval_index(fam.thresholds, just_above) == 1
 
@@ -101,7 +101,7 @@ def test_threshold_member_round_agreement():
     for L in (1, 3, 5, 9):
         f = MAJ.member(L)
         for w in range(L + 1):
-            assert MAJ.round(Fraction(w, L)) == f.table[((L - w, w),)]
+            assert MAJ.round((Fraction(w, L),), None) == f.table[((L - w, w),)]
 
 
 def test_threshold_constructor_validation():
@@ -141,14 +141,14 @@ def test_periodic_binary_domain_eager_table():
 
 
 def test_periodic_round_accepts_ints_and_quotients():
-    assert MOD7.round(8) == 1
+    assert MOD7.round((), 8) == 1
     lat = LatticeIdeal([(7,)])
-    assert MOD7.round(lat.element((15,))) == 1
-    assert MOD7.round(lat.element((3,))) == 0
+    assert MOD7.round((), lat.element((15,))) == 1
+    assert MOD7.round((), lat.element((3,))) == 0
     with pytest.raises(ValueError):
-        MOD7.round(LatticeIdeal([(7, 0), (0, 7)]).element((1, 1)))
+        MOD7.round((), LatticeIdeal([(7, 0), (0, 7)]).element((1, 1)))
     with pytest.raises(ValueError):
-        MOD7.round(LatticeIdeal([(5,)]).element((6,)))
+        MOD7.round((), LatticeIdeal([(5,)]).element((6,)))
 
 
 def test_periodic_validity():
@@ -176,7 +176,7 @@ def test_fam_gl_round_agreement():
     for L in (1, 3, 5, 7, 9):
         f = FAM_GL.member(L)
         for w in range(L + 1):
-            got = FAM_GL.round(Fraction(w, L), w % FAM_GL.period)
+            got = FAM_GL.round((Fraction(w, L),), w % FAM_GL.period)
             assert got == f.table[((L - w, w),)]
 
 
@@ -188,19 +188,19 @@ def test_thrper_round_applies_the_residue():
     for L in (5, 11, 17):
         f = fam.member(L)
         for w in range(L + 1):
-            assert fam.round(Fraction(w, L), 2 * w % 3) == f.table[((L - w, w),)]
+            assert fam.round((Fraction(w, L),), 2 * w % 3) == f.table[((L - w, w),)]
 
 
 def test_thrper_round_on_ring_values():
     v = QuadElem(-1, 1, 2)               # below 1/2
-    assert FAM_GL.round(v, 0) == 0
-    assert FAM_GL.round(v, 1) == 3
+    assert FAM_GL.round((v,), 0) == 0
+    assert FAM_GL.round((v,), 1) == 3
     v = QuadElem(2, -1, 2)               # above 1/2
     lat = LatticeIdeal([(2,)])
-    assert FAM_GL.round(v, lat.element((0,))) == 2
-    assert FAM_GL.round(v, lat.element((1,))) == 1
+    assert FAM_GL.round((v,), lat.element((0,))) == 2
+    assert FAM_GL.round((v,), lat.element((1,))) == 1
     with pytest.raises(ValueError):
-        FAM_GL.round(v, LatticeIdeal([(3,)]).element((1,)))
+        FAM_GL.round((v,), LatticeIdeal([(3,)]).element((1,)))
 
 
 def test_thrper_constructor_validation():
@@ -435,8 +435,8 @@ def test_region_family_rejects_duplicate_radicands():
 def test_region_round_matches_partition():
     x = QuadElem(-1, 1, 2)
     y = QuadElem(2, -1, 3)
-    assert MALT.round((x, y)) == 1
-    assert MALT.round((y, x)) == 0
+    assert MALT.round((x, y), None) == 1
+    assert MALT.round((y, x), None) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def test_regper_member_uses_cell_quotients():
 
 def test_regper_round_reduces_quotients():
     fam = regper_family()
-    joint = fam.affine_lattice
+    joint = fam.plan.lattice
     assert joint.diag == (2, 2)
     w = joint.element((1, 0))
     x = QuadElem(-1, 1, 2)
@@ -477,7 +477,7 @@ def test_regper_round_reduces_quotients():
 
 def test_regper_affine_lattice_is_computed_once():
     fam = regper_family()
-    assert fam.affine_lattice is fam.affine_lattice
+    assert fam.plan.lattice is fam.plan.lattice
 
 
 def test_regper_validation():
@@ -530,8 +530,8 @@ def test_rainbow_round():
     above = QuadElem(-1, 1, 2)      # sqrt(2) - 1 = 0.414... > 1/3
     below = QuadElem(-4, 3, 2)      # 3 sqrt(2) - 4 = 0.242... < 1/3
     rest = Fraction(1, 3)
-    assert RAINBOW.round((above, rest, rest)) == 1
-    assert RAINBOW.round((below, rest, rest)) == 2
+    assert RAINBOW.round((above, rest, rest), None) == 1
+    assert RAINBOW.round((below, rest, rest), None) == 2
 
 
 def test_simplex_dimension_validation():
@@ -564,7 +564,7 @@ def test_thrper_equals_one_block_regper():
     for _ in range(1000):
         v = Fraction(rng.randrange(0, den + 1), den)
         w = rng.randrange(0, 2)
-        expect = FAM_GL.round(v, w)
+        expect = FAM_GL.round((v,), w)
         got = regper.round((v,), j2.element((w,)))
         assert got == expect, (v, w)
 
@@ -620,4 +620,4 @@ def test_lazy_member_matches_eager(family, L, monkeypatch):
 ], ids=["thr", "per", "thr-per", "reg", "reg-per", "simplex"])
 def test_weight_guard_per_kind(family, guard):
     # lattice index times ring coordinates per variable, per tuple (m = 4)
-    assert _weight_guard(relaxation_plan(family), 4) == guard
+    assert _weight_guard(family.plan, 4) == guard

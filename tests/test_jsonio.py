@@ -76,7 +76,7 @@ def test_region_periodic_family_roundtrip():
     assert dumps(family_to_json(family_from_json(doc))) == dumps(doc)
     tpl = corpus.entry("one-in-three-malt").template
     aff = build_affine_relaxation(tpl, Instance(3, (Clause(0, (0, 1, 2)),)),
-                                  two.affine_lattice, {0: (0, 0), 1: (1, 1)})
+                                  two.plan.lattice)
     assert jsonio.affine_to_json(aff)["quotient"] == [[2, 0], [0, 2]]
 
 
@@ -163,8 +163,9 @@ def test_family_less_than_relation_negates():
 
 
 def test_family_unknown_kind_and_keys():
-    with pytest.raises(SchemaError, match=r"\$\.kind"):
-        family_from_json({"kind": "mystery"})
+    for kind in ("mystery", "thr-per", ["thr"], {}):
+        with pytest.raises(SchemaError, match=r"\$\.kind"):
+            family_from_json({"kind": kind})
     doc = family_to_json(corpus.entry("twosat").family)
     doc["extra"] = 1
     with pytest.raises(SchemaError, match=r"\$\.extra"):
@@ -257,8 +258,7 @@ def test_system_errors():
 def test_affine_dump_shape():
     t = corpus.entry("mod7-sandwich").template
     inst = Instance(3, (Clause(0, (0, 1, 2)),))
-    aff = build_affine_relaxation(t, inst, LatticeIdeal([(7,)]),
-                                  {d: (d,) for d in t.domain})
+    aff = build_affine_relaxation(t, inst, LatticeIdeal([(7,)]))
     doc = jsonio.affine_to_json(aff)
     assert doc["quotient"] == [[7]]
     # one normalisation row plus one row per clause position

@@ -1,6 +1,6 @@
-"""The pipeline branches on `family.kind` in two places only: choosing the
-relaxations (`relaxation_plan`) and reading a variable's values
-(`_round_variable`).  Everything else works from the plan."""
+"""The pipeline never asks which kind of family it holds: each family
+carries its relaxation `plan` and one `round(point, w)`, so `pipeline.py`
+reads neither `.kind` nor any field that only some kinds have."""
 
 from __future__ import annotations
 
@@ -8,17 +8,13 @@ import ast
 from pathlib import Path
 
 PIPELINE = Path(__file__).resolve().parent.parent / "src" / "pcsp" / "pipeline.py"
-ALLOWED = {"relaxation_plan", "_round_variable"}
+KIND_FIELDS = {"kind", "radicand", "modulus", "period", "affine_lattice",
+               "thresholds", "partition", "cell_data"}
 
 
-def test_pipeline_reads_kind_only_in_the_dispatchers():
+def test_pipeline_reads_no_kind_field():
     tree = ast.parse(PIPELINE.read_text(), filename=str(PIPELINE))
-    names = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    assert ALLOWED <= names
-    found = []
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in ALLOWED:
-            continue
-        found += [f"pipeline.py:{node.lineno}" for node in ast.walk(fn)
-                  if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    found = [f"pipeline.py:{node.lineno}: .{node.attr}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in KIND_FIELDS]
     assert found == []

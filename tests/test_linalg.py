@@ -17,7 +17,6 @@ from pcsp.linalg import (
     solve_lattice_quotient_system,
 )
 from pcsp.model import build_basic_lp, plant_satisfiable_instance
-from pcsp.pipeline import relaxation_plan
 from pcsp.rings import (LatticeIdeal, QuadElem, QuadRing, RingMismatchError,
                         SqrtExpr, dense_element, quad_sign)
 from pcsp.simplex import OPTIMAL, solve_inequality_lp
@@ -272,8 +271,7 @@ def test_lattice_solve_large_prime_has_zero_residual(p):
 def test_integerized_copies_integer_rows():
     e = corpus.entry("didactic")
     inst, _ = plant_satisfiable_instance(e.template, 12, 10, random.Random(1))
-    system, _ = build_basic_lp(e.template, inst,
-                               relaxation_plan(e.family).lp_embedding)
+    system, _ = build_basic_lp(e.template, inst, e.family.plan.lp_embedding)
     assert all(isinstance(c, int) for row in system.rows for c in row.values())
     ints = system.integerized()
     assert ints.rows == system.rows and ints.rhs == system.rhs

@@ -351,17 +351,16 @@ def solve_affine(aff: AffineSystem):
         aff.rows, aff.rhs, aff.layout.width, aff.layout.lattice)
 
 
-def test_affine_relaxation_planted_mod_m():
+def test_affine_relaxation_of_planted_mod_m():
     # sum of three values equal to 1 mod 7
     mod7 = LatticeIdeal([(7,)])
     dom = tuple(range(7))
     rel = frozenset(t for t in product(dom, repeat=3) if sum(t) % 7 == 1)
     tpl = PromiseTemplate(dom, dom, {d: d for d in dom},
                           (Relation("sum1", 3, rel, rel),))
-    emb = {d: (d,) for d in dom}
     rng = random.Random(23)
     inst, hidden = plant_satisfiable_instance(tpl, 6, 4, rng)
-    aff = build_affine_relaxation(tpl, inst, mod7, emb)
+    aff = build_affine_relaxation(tpl, inst, mod7)
     sol = solve_affine(aff)
     assert sol is not None
     # solution w-values satisfy every clause equation mod 7
@@ -377,7 +376,7 @@ def test_affine_relaxation_detects_contradiction():
         bool_rel("neq", [(0, 1), (1, 0)]),
     ])
     inst = Instance(2, (Clause(0, (0, 1)), Clause(1, (0, 1))))
-    aff = build_affine_relaxation(tpl, inst, mod2, {0: (0,), 1: (1,)})
+    aff = build_affine_relaxation(tpl, inst, mod2)
     assert solve_affine(aff) is None
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -47,6 +48,7 @@ from pcsp.pipeline import (
 from pcsp.rings import LatticeIdeal, QuadElem, QuadRing
 
 from oracles import quotient_combination
+from test_jsonio import two_block_regper
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +135,19 @@ def test_family_domain_mismatch_raises():
         solve(e.template, Instance(2, ()), entry("rainbow").family)
 
 
+def test_family_outputs_off_the_weak_domain_raise(monkeypatch):
+    # fam-gL outputs 0..3 on a template whose weak domain is {0, 1}: refused
+    # before any relaxation is built
+    def refuse(*args):
+        raise AssertionError("relaxation built")
+
+    monkeypatch.setattr(pipeline, "build_basic_lp", refuse)
+    monkeypatch.setattr(pipeline, "build_affine_relaxation", refuse)
+    e = entry("twosat")
+    with pytest.raises(ValueError, match="weak domain"):
+        solve(e.template, Instance(2, ()), entry("didactic").family)
+
+
 def test_lp_transcript_ties_multipliers_to_values():
     e, inst, res = solved("twosat")
     lp = res.lp[0]
@@ -145,7 +160,7 @@ def test_lp_transcript_ties_multipliers_to_values():
         # the marginal rows tie weighted tuple columns to variable values
         for pos, x in enumerate(cl.variables):
             col = sum(v * t[pos] for t, v in lam.items())
-            assert col == lp.variable_value(x)
+            assert col == lp.values(x)[0]
 
 
 def test_affine_transcript_multipliers_sum_to_one():
@@ -244,12 +259,12 @@ def test_member_memo_dies_with_its_family():
         gc.collect()
 
 
-def test_relaxation_plan_is_built_once_per_family():
+def test_plan_is_built_once_per_family():
     # solve and every oracle replay ask for the plan; a periodic plan holds
     # an HNF-built lattice
     fam = PeriodicFamily(7, 1, tuple(1 if w == 1 else 0 for w in range(7)))
-    plan = pipeline.relaxation_plan(fam)
-    assert plan is pipeline.relaxation_plan(fam)
+    plan = fam.plan
+    assert plan is fam.plan
     assert plan.lattice == LatticeIdeal([(7,)])
 
 
@@ -363,6 +378,32 @@ def test_joint_residue_accept_replays_through_its_members():
         assert out == tuple(res.assignment[v] for v in cl.variables)
 
 
+REGPER_DIGEST = ("65c31981ae5e0d1b21de999cc13453894690343b"
+                 "815ad1643b3cbe0a32d07c22")
+
+
+def test_two_block_regper_outputs_are_pinned():
+    # no golden case solves a region-periodic family: one digest over the
+    # verdicts, assignments, ring points and affine solutions of the
+    # two-block family on planted 1-in-3 (8,6), with Q every tuple
+    fam = two_block_regper()
+    outs = fam.outputs()
+    strong = frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+    tpl = PromiseTemplate((0, 1), outs, {0: "a", 1: "e"},
+                          (Relation("1in3", 3, strong,
+                                    frozenset(product(outs, repeat=3))),))
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        inst, _ = plant_satisfiable_instance(tpl, 8, 6, random.Random(seed))
+        res = solve(tpl, inst, fam)
+        h.update(repr((res.accepted, res.reason, res.assignment)).encode())
+        for lp in res.lp:
+            h.update(repr([(c.a, c.b, c.q) for c in lp.point]).encode())
+        if res.affine is not None:
+            h.update(repr([v.vector for v in res.affine.solution]).encode())
+    assert h.hexdigest() == REGPER_DIGEST
+
+
 # a one-dimensional region-periodic family: single open cell, parity output
 
 def parity_family() -> RegionPeriodicFamily:
@@ -436,7 +477,7 @@ def test_region_periodic_spread_clash_rejected():
 
 
 def _fresh_basic_lp(tpl, inst, fam):
-    embedding = pipeline.relaxation_plan(fam).lp_embedding
+    embedding = fam.plan.lp_embedding
     system, layout = build_basic_lp(tpl, inst, embedding)
     return system, barycentric_warm_point(tpl, inst, layout, embedding)
 
