@@ -138,12 +138,14 @@ class InequalitySystem:
                 pairs[i] = _row_slack(rows[i], scale * rhs[i], a, b)
         return scale, q, pairs
 
-    def check_point(self, point: Sequence) -> bool:
+    def check_point(self, point: Sequence, strict: Sequence[int] = ()) -> bool:
         """Exact feasibility of a (possibly ring-valued) point: every slack
-        of one `slacks` pass is >= 0, a rational point checked as D x against
-        D rhs and each equality pair substituted once."""
+        of one `slacks` pass is >= 0, and > 0 on the rows in `strict`; a
+        rational point is checked as D x against D rhs and each equality
+        pair substituted once."""
         _, q, pairs = self.slacks(point)
-        return all(quad_sign(a, b, q) >= 0 for a, b in pairs)
+        return (all(quad_sign(a, b, q) >= 0 for a, b in pairs)
+                and all(quad_sign(*pairs[i], q) > 0 for i in strict))
 
     def integerized(self) -> "InequalitySystem":
         """Row-scaled copy with integer data; same feasible set and row order."""

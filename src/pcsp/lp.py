@@ -15,6 +15,13 @@ does: writing x = y + z sqrt(q) with integer vectors y, z, the system
 M x = b splits into M y = b and M z = 0, so the rational and irrational
 parts decouple.  So `rational_core` does all of this but the ring steps,
 once per system, and `ring_feasible_point` lifts it into one ring.
+
+The hull's integer point comes from the Hermite form of all its equalities,
+unless the caller knows more: `pipeline.solve` passes the basic LP's
+per-relation lattice solve (`model.hull_integer_point`), which needs only
+the v and mu columns.  Generic systems, such as `pcsp lp` and criterion 2,
+take the full Hermite form.  Either way the lifted point is certified by
+exact substitution into the whole system.
 """
 
 from __future__ import annotations
@@ -22,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     InequalitySystem,
     IntegerSolver,
     affine_hull_and_interior,
 )
-from .rings import QuadElem, QuadRing, dense_element, quad_sign
+from .rings import QuadElem, QuadRing, dense_element
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
@@ -64,7 +71,9 @@ class RationalCore:
 
 
 def rational_core(system: InequalitySystem,
-                  warm_point: Sequence[Fraction] | None = None) -> RationalCore:
+                  warm_point: Sequence[Fraction] | None = None,
+                  integer_point: Callable[[list, list], list[int] | None]
+                  | None = None) -> RationalCore:
     """Status, hull, integer point and lift steps of `system`, for any ring.
 
     Statuses: 'ok', 'empty' (no rational point), and 'no-ring-point-on-hull'
@@ -75,7 +84,10 @@ def rational_core(system: InequalitySystem,
     by a ring element near y0_j - x0_j (path 'orthogonal').  Any other hull
     takes x0 from its integer equations; a unit vector would leave the hull,
     so it scales the single integer direction T (y0 - x0) by one ring element
-    near 1/T (path 'scaled-delta').
+    near 1/T (path 'scaled-delta').  A caller that knows the system's
+    structure passes `integer_point(eq_rows, eq_rhs)`, which returns an
+    integer solution of the hull's equalities or None; without one, x0
+    comes from the Hermite form of all of them.
     """
     # the hull's integer point needs integer rows for its HNF, and delta
     # below is defined on those rows, so everything after works on them
@@ -91,11 +103,13 @@ def rational_core(system: InequalitySystem,
     full_dim = not any(c for row in hull.eq_rows for c in row.values())
     if full_dim:
         x0 = [v.__floor__() for v in y0]
-    else:
+    elif integer_point is None:
         x0 = IntegerSolver(hull.eq_rows, n).solve(hull.eq_rhs)
-        if x0 is None:
-            return RationalCore(STATUS_NO_RING_POINT, ints, hull.lp_calls,
-                                hull.implicit, y0)
+    else:
+        x0 = integer_point(hull.eq_rows, hull.eq_rhs)
+    if x0 is None:
+        return RationalCore(STATUS_NO_RING_POINT, ints, hull.lp_calls,
+                            hull.implicit, y0)
     core = RationalCore(STATUS_OK, ints, hull.lp_calls, hull.implicit, y0, x0,
                         "trivial")
 
@@ -151,10 +165,7 @@ def ring_feasible_point(system: InequalitySystem, ring: QuadRing,
     for b, d in zip(betas, core.basis):
         for j, v in d.items():
             z0[j] = z0[j] + b * v
-    ints = core.system
-    if not ints.check_point(z0):
-        raise AssertionError("ring point failed exact substitution")
-    _, q, pairs = ints.slacks(z0)
-    if any(quad_sign(*pairs[i], q) <= 0 for i in core.strict_rows):
-        raise AssertionError("non-implicit row not strictly slack")
+    if not core.system.check_point(z0, strict=core.strict_rows):
+        raise AssertionError("ring point failed exact substitution, or left "
+                             "a non-implicit row tight")
     return RingPointResult(STATUS_OK, z0, transcript)

@@ -5,6 +5,16 @@ with a relaxed relation Q over the weak domain E such that phi(P) is
 contained in Q.  Solvers work on instances (clause lists), produce weak-side
 assignments, and justify them through block-symmetric polymorphisms applied
 to relaxation output.
+
+A clause constrains its variables only through its relation's lattice
+L(R, S), the integer combinations of the profiles of the tuples S that
+sum to one (Barto, Bulín, Krokhin and Opršal 2021).  The template keeps
+each lattice it is asked for, so both relaxations are solved in the
+variables alone: `hull_integer_point` finds the basic LP hull's integer
+point in the v and mu columns, and `build_affine_lattice_system` the affine
+relaxation in the n variable columns; each reads the clause multipliers
+back afterwards.  `build_basic_lp` and `build_affine_relaxation` still
+build the full systems, which certify and dump the results.
 """
 
 from __future__ import annotations
@@ -12,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .linalg import InequalitySystem
+from .linalg import InequalitySystem, IntegerSolver
 from .rings import LatticeIdeal, LatticeQuotientElem
 
 
@@ -83,6 +94,28 @@ class PromiseTemplate:
             if rel.name == name:
                 return i
         raise KeyError(name)
+
+    @cached_property
+    def _lattices(self) -> dict:
+        return {}
+
+    def relation_lattice(self, index: int, support: tuple[tuple, ...],
+                         values: bool = False) -> "RelationLattice":
+        """L(R, S) for relation `index` and its strong tuples `support`,
+        built on first use and kept on the template.
+
+        A profile is (1, one 0/1 entry per position and value) for the basic
+        LP, whose marginals are the mu of each position; with `values` it is
+        (1, each position's value), for the affine relaxation.
+        """
+        key = (index, support, values)
+        lat = self._lattices.get(key)
+        if lat is None:
+            per_position = 1 if values else len(self.domain)
+            lat = self._lattices[key] = _relation_lattice(
+                [_profile(t, self.domain, values) for t in support],
+                1 + self.relations[index].arity * per_position)
+        return lat
 
 
 @dataclass(frozen=True)
@@ -449,6 +482,157 @@ def barycentric_warm_point(template: PromiseTemplate, instance: Instance,
 
 
 # ---------------------------------------------------------------------------
+# Per-relation lattices
+# ---------------------------------------------------------------------------
+
+
+def _profile(t: tuple, domain: tuple, values: bool) -> dict[int, int]:
+    if values:
+        return {0: 1, **{1 + pos: int(d) for pos, d in enumerate(t) if d}}
+    return {0: 1, **{1 + pos * len(domain) + domain.index(d): 1
+                     for pos, d in enumerate(t)}}
+
+
+@dataclass(frozen=True)
+class RelationLattice:
+    """L(R, S): the integer span of the profiles P of the tuples S.
+
+    A clause's marginal vector m (the constant 1, then its variables'
+    marginals) comes from integer multipliers, P lam = m, exactly when m
+    lies in L.  So a clause restricts its variables only through L, which
+    depends on the relation and S alone.
+
+    `equations` are rows over the `width` profile coordinates and then
+    `extra` congruence columns: m lies in L exactly when integer values of
+    those columns make every row vanish.  The same rows hold over Z/M and
+    over any product ring, since they describe L + M Z^width there too.
+    `multipliers` reads lam back from m and the congruence columns.
+    """
+
+    width: int
+    size: int                 # |S|
+    equations: tuple[dict[int, int], ...]
+    extra: int
+    # back substitution: (tuple position, form in m, earlier multipliers)
+    steps: tuple[tuple[int, dict[int, int], dict[int, int]], ...]
+
+    def multipliers(self, point: Sequence[int]) -> list[int]:
+        """lam with P lam = m, from `point` = m followed by the congruence
+        columns; over Z/M, P lam = m (mod M) whenever the rows hold mod M."""
+        if self.extra:
+            return list(point[self.width:self.width + self.extra])
+        lam = [0] * self.size
+        for t, form, deps in self.steps:
+            lam[t] = (sum(v * point[c] for c, v in form.items())
+                      - sum(v * lam[u] for u, v in deps.items()))
+        return lam
+
+
+def _relation_lattice(profiles: list[dict[int, int]], width: int
+                      ) -> RelationLattice:
+    """L(R, S) from the Hermite form of P's transpose, H = P^T U.
+
+    With w = U^T m, P lam = m becomes H^T lam = w.  Coordinates of w past
+    H's rank must vanish: those rows of U^T are the left kernel of P, the
+    equations.  When every pivot of H is 1, L is saturated, so those
+    equations are all of it, and back substitution along H's staircase
+    solves the other coordinates with lam zero off the pivot tuples.  A
+    pivot > 1 makes the clause keep one congruence column per tuple, its
+    multipliers, with the rows P lam = m.
+    """
+    solver = IntegerSolver(profiles, width)
+    res = solver.result
+    if all(res.h_cols[c][i] == 1 for i, c in res.pivots):
+        steps = tuple(
+            (solver.row_order[i],
+             {solver.col_order[q]: v for q, v in res.u_cols[c].items()},
+             {solver.row_order[k]: v for k, v in res.h_cols[c].items() if k != i})
+            for i, c in reversed(res.pivots))
+        return RelationLattice(width, len(profiles),
+                               tuple(solver.kernel_basis()), 0, steps)
+    rows = [{c: 1} for c in range(width)]
+    for t, prof in enumerate(profiles):
+        for c, v in prof.items():
+            rows[c][width + t] = -v
+    return RelationLattice(width, len(profiles), tuple(rows),
+                           len(profiles), ())
+
+
+def _lattice_rows(lat: RelationLattice, columns: Sequence[int],
+                  extra_base: int) -> list[tuple[dict[int, int], int]]:
+    """`lat`'s equations over a system's columns: profile coordinate c > 0
+    sits in column columns[c - 1], congruence column k in extra_base + k,
+    and coordinate 0, the constant one, moves to the right-hand side."""
+    out = []
+    for eq in lat.equations:
+        row: dict[int, int] = {}
+        const = 0
+        for c, v in eq.items():
+            if c == 0:
+                const -= v
+                continue
+            k = columns[c - 1] if c < lat.width else extra_base + c - lat.width
+            row[k] = row.get(k, 0) + v
+        out.append((row, const))
+    return out
+
+
+def hull_integer_point(template: PromiseTemplate, instance: Instance,
+                       layout: BasicLpLayout, eq_rows: Sequence[Mapping[int, int]],
+                       eq_rhs: Sequence[int]) -> list[int] | None:
+    """An integer point of the basic LP's hull {eq_rows . x = eq_rhs}, or
+    None when it has none, solved in the v and mu columns alone.
+
+    The hull's rows without lambda stay: the per-variable and v-link rows
+    and the fixed-zero mu.  A lambda fixed at zero leaves its tuple out of
+    the clause's support S_j, and each clause's own rows give way to the
+    equations of L(R, S_j) on its mu.  Each lambda_j is then read back from
+    its clause's marginals.
+    """
+    dsz = len(layout.domain)
+    lam0 = n_cols = layout.mu_base + layout.n_vars * dsz  # the first lambda
+    rows: list[Mapping[int, int]] = []
+    rhs: list[int] = []
+    fixed: set[int] = set()
+    for row, b in zip(eq_rows, eq_rhs):
+        if all(j < lam0 for j in row):
+            rows.append(row)
+            rhs.append(b)
+        elif len(row) == 1 and b == 0:
+            fixed.update(row)
+    clauses = []
+    for j, cl in enumerate(instance.clauses):
+        base, tuples = layout.lam_base[j], layout.lam_tuples[j]
+        free = [i for i in range(len(tuples)) if base + i not in fixed]
+        lat = template.relation_lattice(cl.relation,
+                                        tuple(tuples[i] for i in free))
+        columns = [layout.mu_base + x * dsz + k
+                   for x in cl.variables for k in range(dsz)]
+        for row, const in _lattice_rows(lat, columns, n_cols):
+            rows.append(row)
+            rhs.append(const)
+        clauses.append((lat, [base + i for i in free], columns, n_cols))
+        n_cols += lat.extra
+    solver = IntegerSolver(rows, n_cols)
+    y = solver.solve(rhs)
+    if y is None:
+        return None
+    # the Hermite form's solution can lie far out along the kernel; one pass
+    # of size reduction (Babai 1986) brings it back near the origin
+    for k in solver.kernel_basis():
+        t = round(Fraction(-sum(y[j] * v for j, v in k.items()),
+                           sum(v * v for v in k.values())))
+        for j, v in k.items():
+            y[j] += t * v
+    x = y[:lam0] + [0] * (layout.width - lam0)
+    for lat, lam_cols, columns, extra in clauses:
+        point = [1] + [y[k] for k in columns] + y[extra:extra + lat.extra]
+        for k, v in zip(lam_cols, lat.multipliers(point)):
+            x[k] = v
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Affine relaxation over a lattice quotient
 # ---------------------------------------------------------------------------
 
@@ -467,6 +651,57 @@ class AffineSystem:
     rows: list[dict[int, object]]      # coefficient: int or per-coord tuple
     rhs: list[LatticeQuotientElem]
     layout: AffineLayout
+
+
+@dataclass
+class AffineLatticeSystem:
+    """The affine relaxation in the variables alone: each clause's relation
+    lattice equations over the values of its variables, in columns
+    0..n-1, plus the lattices' congruence columns.  Its rows and rhs are
+    what `linalg.solve_lattice_quotient_system` takes."""
+
+    lattice: LatticeIdeal
+    rows: list[dict[int, int]]
+    rhs: list[LatticeQuotientElem]
+    width: int
+    # per clause: its tuples, their lattice, its variables, first extra column
+    clauses: list[tuple[tuple, RelationLattice, tuple[int, ...], int]]
+
+    def multipliers(self, solution: Sequence[LatticeQuotientElem]
+                    ) -> list[dict[tuple, LatticeQuotientElem]]:
+        """Each clause's multipliers, read back coordinate by coordinate of
+        the product ring from its variables' values in `solution`."""
+        out = []
+        for tuples, lat, variables, extra in self.clauses:
+            cols = list(variables) + list(range(extra, extra + lat.extra))
+            per_coord = [lat.multipliers([1] + [solution[k].vector[i] for k in cols])
+                         for i in range(self.lattice.dim)]
+            out.append({t: self.lattice.element(tuple(lam[s] for lam in per_coord))
+                        for s, t in enumerate(tuples)})
+        return out
+
+
+def build_affine_lattice_system(template: PromiseTemplate, instance: Instance,
+                                lattice: LatticeIdeal) -> AffineLatticeSystem:
+    """The relaxation of `build_affine_relaxation` with its multiplier
+    columns eliminated through each relation's lattice of value profiles.
+    The lattice rows hold over Z^b / J coordinate by coordinate, and every
+    coordinate embeds a value as itself, so each row is one ring equation
+    with integer coefficients."""
+    b = lattice.dim
+    rows: list[dict[int, int]] = []
+    rhs: list[LatticeQuotientElem] = []
+    clauses = []
+    width = instance.n_vars
+    for cl in instance.clauses:
+        tuples = tuple(sorted(template.relations[cl.relation].strong))
+        lat = template.relation_lattice(cl.relation, tuples, values=True)
+        for row, const in _lattice_rows(lat, cl.variables, width):
+            rows.append(row)
+            rhs.append(lattice.element((const,) * b))
+        clauses.append((tuples, lat, cl.variables, width))
+        width += lat.extra
+    return AffineLatticeSystem(lattice, rows, rhs, width, clauses)
 
 
 def build_affine_relaxation(template: PromiseTemplate, instance: Instance,

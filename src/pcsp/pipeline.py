@@ -4,9 +4,12 @@
 kind of family it holds.  With radicands, it reads embedded variable values
 from ring points of the basic LP: one rational core per instance, lifted
 once per radicand.  With a lattice, it solves an affine relaxation over that
-finite quotient and reads residues from it.  Each variable is then rounded
-by one `family.round(point, w)` call.  An instance is rejected exactly when
-one of its relaxations is infeasible over its ring.
+finite quotient and reads residues from it.  Both take the per-relation
+lattices of `model`: the hull's integer point is solved in the v and mu
+columns, the affine relaxation in the variable columns, and the clause
+multipliers are read back.  Each variable is then rounded by one
+`family.round(point, w)` call.  An instance is rejected exactly when one of
+its relaxations is infeasible over its ring.
 
 `construct_weights` and `weighted_apply_oracle` replay a rounded clause
 through an actual family member at a large valid arity, certifying that the
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import floor
 from typing import Sequence
 
@@ -25,13 +29,13 @@ from .linalg import solve_lattice_quotient_system
 from .lp import (STATUS_EMPTY, STATUS_NO_RING_POINT, STATUS_OK, rational_core,
                  ring_feasible_point)
 from .model import (
-    AffineSystem,
     BasicLpLayout,
     Instance,
     PromiseTemplate,
     barycentric_warm_point,
-    build_affine_relaxation,
+    build_affine_lattice_system,
     build_basic_lp,
+    hull_integer_point,
     verify_assignment,
 )
 from .rings import LatticeQuotientElem, QuadRing
@@ -60,16 +64,14 @@ class LpTranscript:
 
 @dataclass
 class AffineTranscript:
-    system: AffineSystem
-    solution: list[LatticeQuotientElem]
+    values: list[LatticeQuotientElem]          # per variable
+    multipliers: list[dict]                    # per clause: tuple -> multiplier
 
     def clause_multipliers(self, j: int) -> dict:
-        layout = self.system.layout
-        return {t: self.solution[layout.r_base[j] + i]
-                for i, t in enumerate(layout.r_tuples[j])}
+        return self.multipliers[j]
 
     def variable_value(self, x: int) -> LatticeQuotientElem:
-        return self.solution[x]
+        return self.values[x]
 
 
 class RoundingCheckError(AssertionError):
@@ -112,7 +114,8 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
         system, layout = build_basic_lp(template, instance, plan.lp_embedding)
         warm = barycentric_warm_point(template, instance, layout,
                                       plan.lp_embedding)
-        core = rational_core(system, warm)
+        core = rational_core(system, warm, partial(
+            hull_integer_point, template, instance, layout))
         for q in plan.radicands:
             res = ring_feasible_point(system, QuadRing(q), core=core)
             if res.status != STATUS_OK:
@@ -120,12 +123,12 @@ def solve(template: PromiseTemplate, instance: Instance, family) -> SolveResult:
             lps.append(LpTranscript(layout, res.point))
     aff = None
     if plan.lattice is not None:
-        eqs = build_affine_relaxation(template, instance, plan.lattice)
-        sol = solve_lattice_quotient_system(eqs.rows, eqs.rhs, eqs.layout.width,
+        eqs = build_affine_lattice_system(template, instance, plan.lattice)
+        sol = solve_lattice_quotient_system(eqs.rows, eqs.rhs, eqs.width,
                                             plan.lattice)
         if sol is None:
             return SolveResult(False, reason=REJECT_AFFINE)
-        aff = AffineTranscript(eqs, sol)
+        aff = AffineTranscript(sol[:instance.n_vars], eqs.multipliers(sol))
     values = [family.round(tuple(c for lp in lps for c in lp.values(x)),
                            None if aff is None else aff.variable_value(x))
               for x in range(instance.n_vars)]

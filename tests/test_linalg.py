@@ -425,6 +425,28 @@ def test_one_substitution_per_row_or_equality_pair(monkeypatch):
     assert len(calls) == k + r
 
 
+def test_check_point_strict_rows_need_positive_slack(monkeypatch):
+    # 0 <= x <= 1 at x = 1 and at x = 1 - (sqrt2 - 1): row 0 is tight at the
+    # first, slack at the second; one substitution pass serves both checks
+    calls = []
+    row_slack = linalg._row_slack
+
+    def counting(*args):
+        calls.append(args)
+        return row_slack(*args)
+
+    monkeypatch.setattr(linalg, "_row_slack", counting)
+    sys = InequalitySystem(1)
+    sys.add_le({0: 1}, 1)
+    sys.add_le({0: -1}, 0)
+    tight, inside = [1], [QuadElem(2, -1, 2)]
+    assert sys.check_point(tight) and sys.check_point(tight, strict=[1])
+    assert not sys.check_point(tight, strict=[0])
+    assert sys.check_point(inside, strict=[0, 1])
+    assert not sys.check_point([2], strict=[1])
+    assert len(calls) == 2 * 5
+
+
 def test_hull_point_at_half_is_all_implicit():
     sys = InequalitySystem(1)
     sys.add_eq({0: 2}, 1)

@@ -19,9 +19,6 @@ ALLOWED = {
     # the weighted-oracle replay of one rounded clause, the paper's check
     # that a member outputs the rounded values; callers use it on a result
     "pipeline.weighted_apply_oracle",
-    # the benchmark's tracer wraps it as part of the integer-solver layer;
-    # the per-relation lattices or the next benchmark change decide its fate
-    "linalg.IntegerSolver.kernel_basis",
 }
 
 

@@ -8,7 +8,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
@@ -32,6 +32,7 @@ from pcsp.model import (
     barycentric_warm_point,
     build_basic_lp,
     check_polymorphism,
+    hull_integer_point,
     plant_satisfiable_instance,
     verify_assignment,
 )
@@ -142,7 +143,7 @@ def test_family_outputs_off_the_weak_domain_raise(monkeypatch):
         raise AssertionError("relaxation built")
 
     monkeypatch.setattr(pipeline, "build_basic_lp", refuse)
-    monkeypatch.setattr(pipeline, "build_affine_relaxation", refuse)
+    monkeypatch.setattr(pipeline, "build_affine_lattice_system", refuse)
     e = entry("twosat")
     with pytest.raises(ValueError, match="weak domain"):
         solve(e.template, Instance(2, ()), entry("didactic").family)
@@ -165,7 +166,7 @@ def test_lp_transcript_ties_multipliers_to_values():
 
 def test_affine_transcript_multipliers_sum_to_one():
     e, inst, res = solved("mod7-sandwich")
-    diag = res.affine.solution[0].lattice.diag
+    diag = res.affine.values[0].lattice.diag
     for j, cl in enumerate(inst.clauses):
         r = res.affine.clause_multipliers(j)
         assert quotient_combination(diag, ((1, v.vector) for v in r.values())) == (1,)
@@ -378,8 +379,8 @@ def test_joint_residue_accept_replays_through_its_members():
         assert out == tuple(res.assignment[v] for v in cl.variables)
 
 
-REGPER_DIGEST = ("65c31981ae5e0d1b21de999cc13453894690343b"
-                 "815ad1643b3cbe0a32d07c22")
+REGPER_DIGEST = ("f6363688d1d6b40362290575e2113fb19095f8f9"
+                 "cd547b5b9487001839c46b32")
 
 
 def test_two_block_regper_outputs_are_pinned():
@@ -400,7 +401,10 @@ def test_two_block_regper_outputs_are_pinned():
         for lp in res.lp:
             h.update(repr([(c.a, c.b, c.q) for c in lp.point]).encode())
         if res.affine is not None:
-            h.update(repr([v.vector for v in res.affine.solution]).encode())
+            # the variables' values, then each clause's multipliers
+            aff = res.affine
+            solution = aff.values + [m[t] for m in aff.multipliers for t in sorted(m)]
+            h.update(repr([v.vector for v in solution]).encode())
     assert h.hexdigest() == REGPER_DIGEST
 
 
@@ -491,9 +495,14 @@ def test_shared_core_points_match_one_shot_lifts(n_vars, n_clauses, seed):
     res = solve(e.template, inst, e.family)
     assert res.accepted
     assert len(res.lp) == len(e.family.radicands) == 2
+    embedding = e.family.plan.lp_embedding
     for lp, q in zip(res.lp, e.family.radicands):
-        system, warm = _fresh_basic_lp(e.template, inst, e.family)
-        one_shot = ring_feasible_point(system, QuadRing(q), warm_point=warm)
+        # a fresh core per radicand, with solve's per-relation lattice path
+        system, layout = build_basic_lp(e.template, inst, embedding)
+        warm = barycentric_warm_point(e.template, inst, layout, embedding)
+        core = rational_core(system, warm, partial(
+            hull_integer_point, e.template, inst, layout))
+        one_shot = ring_feasible_point(system, QuadRing(q), core=core)
         assert [(c.a, c.b, c.q) for c in lp.point] == \
             [(c.a, c.b, c.q) for c in one_shot.point]
 

@@ -1,18 +1,24 @@
-"""Golden outputs of the solver on fixed planted corpus instances.
+"""Golden outputs of the solver on fixed planted corpus instances, and of
+the polymorphism check on the corpus families.
 
-Each case plants one instance of a corpus entry, solves it, and replays every
-clause through the weighted-member oracle.  `record(key)` returns what the
-golden file pins for that case: the verdict and reason, the sha256 of the
-`pcsp solve` stdout, of each ring point and of the affine solution, and the
-arity of each clause's replay.  `test_golden.py` compares these records with
-`golden.json`.
+Each solve case plants one instance of a corpus entry, solves it, and
+replays every clause through the weighted-member oracle.  `record(key)`
+returns what the golden file pins for that case: the verdict and reason, the
+sha256 of the `pcsp solve` stdout, of each ring point and of the affine
+solution, and the arity of each clause's replay.  Each polymorphism case
+pins `check_polymorphism`'s report for a corpus family's member at its
+first or second smallest valid arity, against the entry's template.
+`test_golden.py` compares these records with `golden.json`.
 
 Run from the repository root to rewrite the file:
 
     PYTHONPATH=src python tests/update_golden.py              # every case
     PYTHONPATH=src python tests/update_golden.py KEY [KEY...]   # these cases
 
-A change regenerates only the cases whose outputs it is meant to change.
+It prints the fields that changed for each key it rewrites.  A change to a
+verdict or a reason prints `VERDICT CHANGED <key>`, and then the script
+writes nothing and exits 1.  A change regenerates only the cases whose
+outputs it is meant to change.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import tempfile
 from pathlib import Path
 
 from pcsp import cli, corpus, jsonio
-from pcsp.model import plant_satisfiable_instance
+from pcsp.families import scan_valid_arity
+from pcsp.model import (ResourceGuardError, check_polymorphism,
+                        plant_satisfiable_instance)
 from pcsp.pipeline import solve, weighted_apply_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -44,6 +52,10 @@ _SPECS += [("threshold-conds", 6, 2, 1), ("threshold-conds", 6, 2, 2),
            ("twosat", 6, 4, 1), ("twosat", 6, 4, 2), ("twosat", 12, 10, 1)]
 CASES = {f"{name}/{n}x{m}/seed{seed}": (name, n, m, seed)
          for name, n, m, seed in _SPECS}
+# (entry, rank): the member at the rank-th smallest valid arity
+POLYMORPHISM_CASES = {f"check-pol/{name}/{word}": (name, rank)
+                      for name in corpus.names()
+                      for rank, word in ((1, "first"), (2, "second"))}
 
 
 def _sha256(obj) -> str:
@@ -61,7 +73,33 @@ def _cli_stdout(entry, instance) -> str:
     return out.getvalue()
 
 
+def _valid_member(family, rank: int):
+    L = 0
+    for _ in range(rank):
+        L, member = scan_valid_arity(family, L + 1)
+    return L, member if member is not None else family.member(L)
+
+
+def polymorphism_record(key: str) -> dict:
+    name, rank = POLYMORPHISM_CASES[key]
+    e = corpus.entry(name)
+    L, member = _valid_member(e.family, rank)
+    try:
+        rep = check_polymorphism(member, e.template)
+    except ResourceGuardError as err:
+        return {"arity": L, "verdict": "resource-guard", "reason": str(err),
+                "witness_rows": None, "bad_output": None}
+    return {"arity": L, "verdict": "ok" if rep.ok else "violated",
+            "reason": rep.relation,
+            "witness_rows": None if rep.witness_rows is None
+            else [list(r) for r in rep.witness_rows],
+            "bad_output": None if rep.bad_output is None
+            else list(rep.bad_output)}
+
+
 def record(key: str) -> dict:
+    if key in POLYMORPHISM_CASES:
+        return polymorphism_record(key)
     name, n, m, seed = CASES[key]
     e = corpus.entry(name)
     inst, _ = plant_satisfiable_instance(e.template, n, m, random.Random(seed))
@@ -78,8 +116,11 @@ def record(key: str) -> dict:
         "ring_points_sha256": [
             _sha256([jsonio.quad_to_json(c) for c in lp.point])
             for lp in res.lp],
+        # the variables' values, then each clause's multipliers
         "affine_sha256": None if res.affine is None else _sha256(
-            [list(v.vector) for v in res.affine.solution]),
+            [list(v.vector) for v in res.affine.values]
+            + [list(mult[t].vector) for mult in res.affine.multipliers
+               for t in sorted(mult)]),
         "replay_arities": arities,
     }
 
@@ -89,16 +130,29 @@ def load() -> dict:
 
 
 def main(keys: list[str]) -> int:
-    unknown = [k for k in keys if k not in CASES]
+    every = {**CASES, **POLYMORPHISM_CASES}
+    unknown = [k for k in keys if k not in every]
     if unknown:
-        print(f"unknown cases {unknown}; known: {sorted(CASES)}",
+        print(f"unknown cases {unknown}; known: {sorted(every)}",
               file=sys.stderr)
         return 2
     golden = load() if GOLDEN.exists() else {}
-    for key in keys or CASES:
-        golden[key] = record(key)
-        print(f"updated {key}")
-    golden = {k: golden[k] for k in CASES if k in golden}
+    verdict_changed = False
+    for key in keys or every:
+        new = record(key)
+        old = golden.get(key)
+        if old is None:
+            print(f"new {key}")
+        else:
+            moved = [f for f in new if new[f] != old.get(f)]
+            if {"verdict", "reason"} & set(moved):
+                print(f"VERDICT CHANGED {key}")
+                verdict_changed = True
+            print(f"{key}: {', '.join(moved) or 'unchanged'}")
+        golden[key] = new
+    if verdict_changed:
+        return 1
+    golden = {k: golden[k] for k in every if k in golden}
     GOLDEN.write_text(jsonio.dumps(golden))
     return 0
 
