@@ -641,9 +641,7 @@ def hull_integer_point(template: PromiseTemplate, instance: Instance,
 class AffineLayout:
     n_vars: int
     lattice: LatticeIdeal
-    r_base: dict = field(default_factory=dict)
-    r_tuples: dict = field(default_factory=dict)
-    width: int = 0
+    width: int
 
 
 @dataclass
@@ -716,23 +714,13 @@ def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
     """
     b = lattice.dim
     emb = {d: (int(d),) * b for d in template.domain}
-    n = instance.n_vars
-    layout = AffineLayout(n, lattice)
-    col = n
-    for j, cl in enumerate(instance.clauses):
-        tuples = sorted(template.relations[cl.relation].strong)
-        layout.r_base[j] = col
-        layout.r_tuples[j] = tuples
-        col += len(tuples)
-    layout.width = col
-
     rows: list[dict[int, object]] = []
     rhs: list[LatticeQuotientElem] = []
     one = lattice.element((1,) * b)
     zero = lattice.element((0,) * b)
-    for j, cl in enumerate(instance.clauses):
-        tuples = layout.r_tuples[j]
-        base = layout.r_base[j]
+    base = instance.n_vars            # each clause's first multiplier column
+    for cl in instance.clauses:
+        tuples = sorted(template.relations[cl.relation].strong)
         rows.append({base + i: 1 for i in range(len(tuples))})
         rhs.append(one)
         for pos, x in enumerate(cl.variables):
@@ -744,4 +732,5 @@ def build_affine_relaxation(template: PromiseTemplate, instance: Instance,
             row[x] = -1
             rows.append(row)
             rhs.append(zero)
-    return AffineSystem(rows, rhs, layout)
+        base += len(tuples)
+    return AffineSystem(rows, rhs, AffineLayout(instance.n_vars, lattice, base))

@@ -42,7 +42,8 @@ def _combination(profiles, lam, width):
 @pytest.mark.parametrize("profiles,index", [
     # L = {(a, b) : b even}: the pivot 2 is a real congruence
     ([{0: 1, 1: 2}, {0: 1}], 2),
-    # 2 and 3 span Z, though the Hermite form's first pivot is 2
+    # (2, 1), (3, 1) and (0, 1) span Z^2, though the Hermite form of their
+    # transpose has the pivots 1 and 2
     ([{0: 2, 1: 1}, {0: 3, 1: 1}, {1: 1}], 1),
 ])
 def test_pivot_above_one_keeps_membership_and_read_back_exact(profiles, index):
@@ -54,7 +55,7 @@ def test_pivot_above_one_keeps_membership_and_read_back_exact(profiles, index):
             for lam in product(box, repeat=len(profiles))}
     for m in product(range(-3, 4), repeat=width):
         z = _in_lattice(lat, list(m))
-        # every vector of the box has index-many cosets, one of them L
+        # L has index `index` in Z^2; small multipliers reach every small m
         assert (z is not None) == (m[1] % index == 0) == (m in span)
         if z is not None:
             lam = lat.multipliers(list(m) + z)
